@@ -2,7 +2,7 @@
 
 Three families have exact formulas: two coprime generators, arithmetic
 progressions, and geometric sequences.  Each formula is evaluated next
-to the generic shortest-path construction so the agreement is visible,
+to the generic round-robin table construction so the agreement is visible,
 and one tempting simplification is shown to be wrong.
 """
 

@@ -77,6 +77,13 @@ def residue_histogram(table: SemigroupTable, modulus: int) -> np.ndarray:
     return counts
 
 
+def _class_counts(values: Sequence[int], modulus: int) -> np.ndarray:
+    # stream values run up to 2**64 - 1, past int64, so reduce them as uint64
+    residues = np.array(values, dtype=np.uint64)
+    residues %= modulus
+    return np.bincount(residues.view(np.int64), minlength=modulus)
+
+
 def chi_square_uniformity(
     stream: "CipherStream | Sequence[int]", modulus: int
 ) -> tuple[float, bool]:
@@ -87,13 +94,12 @@ def chi_square_uniformity(
     so the usual expected-count rule of thumb holds.
     """
     values = getattr(stream, "values", stream)
-    arr = np.asarray(values, dtype=np.int64)
-    n = arr.size
+    n = len(values)
     if n < 5 * modulus:
         raise InsufficientSamplesError(
             f"need at least {5 * modulus} values for modulus {modulus}, got {n}"
         )
-    counts = np.bincount(arr % modulus, minlength=modulus)
+    counts = _class_counts(values, modulus)
     expected = n / modulus
     statistic = float(((counts - expected) ** 2 / expected).sum())
     return statistic, statistic > chi2_critical(modulus - 1)
@@ -164,8 +170,7 @@ def build_report(
 ) -> AnalysisReport:
     """Run every screen that applies and bundle the outcomes."""
     values = tuple(getattr(stream, "values", stream))
-    arr = np.asarray(values, dtype=np.int64)
-    histogram = tuple(int(c) for c in np.bincount(arr % modulus, minlength=modulus))
+    histogram = tuple(int(c) for c in _class_counts(values, modulus))
     statistic, reject = chi_square_uniformity(values, modulus)
     density = None
     fractions: tuple[Fraction, ...] = ()

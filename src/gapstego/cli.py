@@ -100,6 +100,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     key = _load_key(args.key)
     table = build_table(key.generators)
     minimal = minimal_generators(key.generators)
+    counts = check_viability(table, args.modulus)
     print(f"generators {','.join(str(g) for g in key.generators)}")
     print(f"multiplicity {table.multiplicity}")
     print(f"frobenius {table.frobenius}")
@@ -116,7 +117,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     else:
         print(f"apery {','.join(apery)}")
 
-    counts = check_viability(table, args.modulus)
     print(f"class_counts {','.join(str(c) for c in counts.per_class_gap_count)}")
     print(f"viable {_bool_word(counts.viable)}")
 

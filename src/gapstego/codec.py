@@ -158,8 +158,11 @@ def verify_stream(stream: CipherStream, table: SemigroupTable) -> list[bool]:
         raise ValueError("verify runs on de-salted streams; call desalt_stream first")
     if not stream.values:
         return []
-    arr = np.asarray(stream.values, dtype=np.int64)
-    return [not m for m in table.members(arr)]
+    # values run up to 2**64 - 1; every value above F is a member, so clamp
+    # to F + 1 before the int64 table lookup
+    arr = np.array(stream.values, dtype=np.uint64)
+    np.minimum(arr, table.frobenius + 1, out=arr)
+    return [not m for m in table.members(arr.view(np.int64))]
 
 
 def salt_stream(stream: CipherStream, spec: SaltSpec, rng: random.Random) -> CipherStream:

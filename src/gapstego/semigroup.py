@@ -10,15 +10,15 @@ generator, min_rep[r] is the least member of S congruent to r mod m, and
 
     x in S  <=>  x >= min_rep[x % m].
 
-The table is computed once by Dijkstra's algorithm on a graph whose
-vertices are the residues mod m and whose edges r -> (r + a) % m have
-weight a for each generator a.  The distance from vertex 0 to r is exactly
-min_rep[r].
+The table comes from one round-robin pass that adds the generators in
+increasing order (Boecker & Liptak, Algorithmica 48, 2007).  With T the
+table of the prefix before generator a, a is redundant iff a >= T[a % m],
+and the sequence stays telescopic iff x >= T[x % m] for x = (d_prev // d) * a,
+with d_prev and d the gcds of the prefix without and with a.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -34,11 +34,12 @@ from .errors import (
     NonPositiveElementError,
 )
 
-# build_table allocates one int64 per residue class mod the multiplicity,
-# and path weights must stay far from 2**63: m * max_generator is an upper
-# bound on any distance, so these two caps keep everything in range.
+# One int64 per residue class mod the multiplicity.  The round-robin pass
+# subtracts k * a, k < m, from entries that may hold the unreached sentinel
+# 2**62; m * a <= 10**7 * 2**31 is far below it, so nothing wraps.
 MAX_MULTIPLICITY = 10**7
 MAX_GENERATOR = 2**31
+_UNREACHED = 2**62
 
 
 @dataclass(frozen=True)
@@ -132,59 +133,61 @@ class SemigroupTable:
         return 2 * self.genus == self.frobenius + 1
 
 
-def build_table(gens: GeneratingSet) -> SemigroupTable:
-    """Shortest-path construction of the per-residue minima.
+def _round_robin(elems: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...], bool]:
+    """Table, minimal generators and telescopic verdict of increasing elems.
 
-    Only the smallest generator in each residue class mod m is kept as an
-    edge: a larger one congruent to it differs by a multiple of m and can
-    never relax a distance the smaller one cannot.
+    Generator a splits the residues mod m into gcd(a, m) cycles of the step
+    r -> r + a.  Each cycle is rotated to start at its minimum, which adding
+    a can never lower, so one running minimum of n[r] - k*a along it gives
+    the new entries.
     """
-    elems = gens.elements
     m = elems[0]
     if m > MAX_MULTIPLICITY:
         raise LimitError(f"multiplicity {m} exceeds the table limit {MAX_MULTIPLICITY}")
     if elems[-1] > MAX_GENERATOR:
         raise LimitError(f"generator {elems[-1]} exceeds the limit {MAX_GENERATOR}")
 
-    edge_for: dict[int, int] = {}
+    n = np.full(m, _UNREACHED, dtype=np.int64)
+    n[0] = 0
+    minimal = [m]
+    telescopic = True
+    d_prev = m
     for a in elems[1:]:
-        r = a % m
-        if r and r not in edge_for:
-            edge_for[r] = a
-    edges = sorted(edge_for.values())
+        d = math.gcd(d_prev, a)
+        x = d_prev // d * a
+        telescopic = telescopic and x >= int(n[x % m])
+        d_prev = d
+        if a >= int(n[a % m]):
+            continue  # a sum of smaller generators: changes nothing
+        minimal.append(a)
+        g = math.gcd(a, m)
+        ka = np.arange(m // g, dtype=np.int64) * a
+        # residues congruent mod g form one cycle, a column of this view
+        starts = np.arange(g) + g * n.reshape(-1, g).argmin(axis=0)
+        idx = starts[:, None] + ka
+        idx %= m
+        v = n[idx]
+        v -= ka
+        np.minimum.accumulate(v, axis=1, out=v)
+        v += ka
+        n[idx] = v
+    return n, tuple(minimal), telescopic
 
-    unreached = 2**63 - 1
-    dist = [unreached] * m
-    dist[0] = 0
-    heap: list[tuple[int, int]] = [(0, 0)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d, r = pop(heap)
-        if d > dist[r]:
-            continue
-        for a in edges:
-            nd = d + a
-            nr = nd % m
-            if nd < dist[nr]:
-                dist[nr] = nd
-                push(heap, (nd, nr))
 
-    min_rep = np.array(dist, dtype=np.int64)
+def build_table(gens: GeneratingSet) -> SemigroupTable:
+    """Per-residue minima from one round-robin pass over the generators.
+
+    Before adding generator a, the prefix table T decides that a is
+    redundant (a >= T[a % m]), and skipped, and whether the sequence stays
+    telescopic (x >= T[x % m], x = (d_prev // d) * a), so minimal_generators
+    and is_telescopic share the pass.  Raises LimitError past either cap.
+    """
+    min_rep = _round_robin(gens.elements)[0]
     min_rep.setflags(write=False)
+    m = gens.elements[0]
     frobenius = int(min_rep.max()) - m
     genus = int((min_rep // m).sum())
     return SemigroupTable(gens, m, min_rep, frobenius, genus)
-
-
-def _monoid_contains(scaled: Sequence[int], x: int) -> bool:
-    # membership of x in the monoid generated by `scaled` (gcd must be 1);
-    # a scaled generator of 1 means the monoid is all of N
-    if x == 0:
-        return True
-    if 1 in scaled:
-        return True
-    return build_table(validate_generators(scaled)).is_member(x)
 
 
 def is_telescopic(gens: GeneratingSet) -> bool:
@@ -196,15 +199,7 @@ def is_telescopic(gens: GeneratingSet) -> bool:
     (4, 6, 9), which any workable definition must accept.)  Telescopic
     sequences always generate symmetric semigroups.
     """
-    elems = gens.elements
-    d_prev = elems[0]
-    for i in range(1, len(elems)):
-        d_i = math.gcd(d_prev, elems[i])
-        scaled_prefix = tuple(a // d_prev for a in elems[:i])
-        if not _monoid_contains(scaled_prefix, elems[i] // d_i):
-            return False
-        d_prev = d_i
-    return True
+    return _round_robin(gens.elements)[2]
 
 
 def minimal_generators(gens: GeneratingSet) -> GeneratingSet:
@@ -213,17 +208,7 @@ def minimal_generators(gens: GeneratingSet) -> GeneratingSet:
     The survivors form the unique minimal generating set of the same
     semigroup; their count is the embedding dimension.
     """
-    elems = gens.elements
-    keep = []
-    for i, a in enumerate(elems):
-        others = elems[:i] + elems[i + 1 :]
-        g = math.gcd(*others)
-        if a % g:
-            keep.append(a)
-            continue
-        if not _monoid_contains(tuple(o // g for o in others), a // g):
-            keep.append(a)
-    return GeneratingSet(tuple(keep))
+    return GeneratingSet(_round_robin(gens.elements)[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -104,6 +104,13 @@ class TestInspect:
     def test_missing_file(self, tmp_path):
         assert main(["inspect", "--key", str(tmp_path / "nope.key")]) == 2
 
+    def test_bad_modulus_fails_before_output(self, tmp_path, capsys):
+        key = write_key(tmp_path, (5, 7))
+        assert main(["inspect", "--key", str(key), "--modulus", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "modulus" in captured.err
+
 
 class TestEncodeDecode:
     def round_trip(self, tmp_path, key_path, payload, salt=False, seed="5"):
@@ -166,6 +173,16 @@ class TestEncodeDecode:
         assert "positions" in err
         assert f"{len(values)},{len(values) + 1}" in err
 
+    def test_verify_flags_value_past_int64(self, tmp_path, viable_key, capsys):
+        # the stream format allows values up to 2**64 - 1; above F none is a gap
+        stream = tmp_path / "stream.txt"
+        stream.write_text(f"1\n{2**63}\n2\n{2**64 - 1}\n")
+        rc = main(["decode", "--key", str(viable_key), "--in", str(stream), "--out", str(tmp_path / "o.bin"), "--verify"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2 stream value(s) are not gaps (positions 1,3)" in captured.err
+
     def test_odd_stream_is_input_error(self, tmp_path, viable_key, capsys):
         stream = tmp_path / "odd.txt"
         stream.write_text("1\n2\n3\n")
@@ -191,6 +208,16 @@ class TestAnalyze:
         assert "chi_square 0.0000" in out
         assert "reject_uniformity false" in out
         assert "gap_density" not in out
+
+    def test_values_past_int64(self, tmp_path, capsys):
+        stream = tmp_path / "s.txt"
+        values = [2**64 - 16 + v % 16 for v in range(160)]
+        values[15] = 2**63  # class 0 instead of 15
+        stream.write_text("".join(f"{v}\n" for v in values))
+        assert main(["analyze", "--in", str(stream)]) == 0
+        out = capsys.readouterr().out
+        assert "n_values 160" in out
+        assert "class_histogram 11,10,10,10,10,10,10,10,10,10,10,10,10,10,10,9" in out
 
     def test_short_stream_rejected(self, tmp_path, capsys):
         stream = tmp_path / "s.txt"

@@ -125,6 +125,24 @@ class TestTelescopicMode:
         assert a.elements != b.elements
 
 
+class TestPinnedKeys:
+    """Keygen output is part of the key contract: a seed names one key."""
+
+    @pytest.mark.parametrize(
+        "mode, seed, elements",
+        [
+            ("telescopic", 0, (656, 1184, 2888, 4598, 4727)),
+            ("telescopic", 1, (568, 3692, 4084, 4314, 4483)),
+            ("telescopic", 7, (702, 4680, 5044, 5084, 5435)),
+            ("telescopic", 42, (512, 2816, 4052, 4074, 4085)),
+            ("appendix-c", 0, (932, 1031, 2895, 10549, 22962)),
+            ("appendix-c", 1, (933, 1129, 3191, 7315, 16496)),
+        ],
+    )
+    def test_seed_gives_pinned_key(self, mode, seed, elements):
+        assert generate_key(KeygenParams(seed=seed, mode=mode)).elements == elements
+
+
 class TestViabilityFailure:
     def test_hopeless_ranges_diagnosed(self, monkeypatch):
         monkeypatch.setattr(keygen_mod, "RETRY_BUDGET", 60)

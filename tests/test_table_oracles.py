@@ -1,0 +1,127 @@
+"""The round-robin pass against oracles that share none of its code.
+
+build_table must equal the Dijkstra reference and the brute-force sieve;
+minimal_generators and is_telescopic must equal their definitions, each
+decided by the sieve on the generators themselves.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dijkstra_reference import dijkstra_min_rep
+from gapstego import (
+    GeneratingSet,
+    KeygenParams,
+    brute_force_sieve,
+    build_table,
+    generate_key,
+    is_telescopic,
+    minimal_generators,
+    validate_generators,
+)
+
+BIGKEY = (
+    160000, 400000, 920000, 1072000, 1140000, 1263000,
+    1271200, 1271640, 1278984, 1279492, 1279746, 1279873,
+)
+
+
+def _generated(elems, x):
+    # x in the monoid of elems, any gcd; elems may contain 1
+    return brute_force_sieve(GeneratingSet(tuple(elems)), x).is_member(x)
+
+
+def redundant_by_definition(elems):
+    """Per generator: is it a sum of the other generators?"""
+    return [_generated(elems[:i] + elems[i + 1 :], a) for i, a in enumerate(elems)]
+
+
+def telescopic_by_definition(elems):
+    """Every a_i / d_i is generated by the prefix divided by d_{i-1}."""
+    d_prev = elems[0]
+    for i in range(1, len(elems)):
+        d = math.gcd(d_prev, elems[i])
+        if not _generated([a // d_prev for a in elems[:i]], elems[i] // d):
+            return False
+        d_prev = d
+    return True
+
+
+random_sets = (
+    st.lists(st.integers(2, 150), min_size=2, max_size=5)
+    .map(lambda xs: sorted(set(xs)))
+    .filter(lambda xs: len(xs) >= 2 and math.gcd(*xs) == 1)
+)
+
+
+@st.composite
+def shared_factor_sets(draw):
+    """Sets whose smaller elements share a factor, so a prefix has gcd > 1."""
+    d = draw(st.integers(2, 6))
+    low = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+    high = draw(st.lists(st.integers(121, 240), min_size=1, max_size=3))
+    xs = sorted({d * x for x in low} | set(high))
+    assume(len(xs) >= 2 and math.gcd(*xs) == 1)
+    return xs
+
+
+# small telescopic keys: divisor chains with gcd > 1 prefixes by construction
+small_keys = st.tuples(st.integers(0, 2**16), st.integers(3, 4)).map(
+    lambda sn: list(
+        generate_key(KeygenParams(seed=sn[0], n_elements=sn[1], base_min=24, base_max=96))
+    )
+)
+
+any_sets = st.one_of(random_sets, shared_factor_sets(), small_keys)
+
+
+@given(any_sets)
+@settings(max_examples=150)
+def test_table_matches_dijkstra_and_sieve(elems):
+    t = build_table(validate_generators(elems))
+    reference = dijkstra_min_rep(elems)
+    assert np.array_equal(t.min_rep, reference)
+
+    m = t.multiplicity
+    bound = int(reference.max())
+    rep = brute_force_sieve(t.generators, bound).representable
+    sieve_min_rep = [r + m * int(np.argmax(rep[r::m])) for r in range(m)]
+    assert t.min_rep.tolist() == sieve_min_rep
+    assert (t.members(np.arange(bound + 1)) == rep).all()
+
+
+@given(any_sets)
+@settings(max_examples=150)
+def test_structure_matches_sieve_definitions(elems):
+    gens = validate_generators(elems)
+    redundant = redundant_by_definition(elems)
+    assert minimal_generators(gens).elements == tuple(
+        a for a, r in zip(elems, redundant) if not r
+    )
+    assert is_telescopic(gens) == telescopic_by_definition(elems)
+
+
+def test_small_keys_reach_both_verdicts():
+    # the strategies above must exercise telescopic and non-telescopic sets,
+    # and sets with and without redundant generators
+    keys = [
+        list(generate_key(KeygenParams(seed=s, n_elements=4, base_min=24, base_max=96)))
+        for s in range(20)
+    ]
+    assert all(telescopic_by_definition(k) for k in keys)
+    assert all(is_telescopic(validate_generators(k)) for k in keys)
+    assert not telescopic_by_definition([6, 10, 14, 15])
+    assert redundant_by_definition([5, 7, 12, 17]) == [False, False, True, True]
+
+
+def test_bigkey_matches_dijkstra():
+    t = build_table(validate_generators(BIGKEY))
+    assert t.genus == 14_751_704
+    assert np.array_equal(t.min_rep, dijkstra_min_rep(BIGKEY))
+    assert minimal_generators(t.generators).elements == BIGKEY
+    assert is_telescopic(t.generators)
