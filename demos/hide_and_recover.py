@@ -1,9 +1,11 @@
-"""Hide a message in gap values, recover it, and catch a forgery.
+"""Hide a message in gap values, recover it, and catch a corrupted value.
 
 The encoder draws, for each nibble of the payload, a random gap of the
 secret semigroup congruent to that nibble mod 16.  Residues mod 16 are
 public arithmetic, so decoding needs no key at all; what the key buys
-is the ability to check that every value really is a gap.
+is the ability to check that every value really is a gap.  That check
+catches corruption but not forgery: every positive value below the
+smallest generator is a gap.
 """
 
 from __future__ import annotations
@@ -55,18 +57,22 @@ def main() -> None:
     verdicts = verify_stream(stream, table)
     print(f"verify_stream: all {len(verdicts)} values are gaps = {all(verdicts)}")
 
-    # a forger without the key can fake residues but not gap-ness
-    forged_values = list(stream.values)
-    target = forged_values[0]
+    # a value swapped for a member with the same residue decodes the same
+    corrupted_values = list(stream.values)
+    target = corrupted_values[0]
     fake = target + table.multiplicity  # same residue class mod m is wrong on purpose
     while not table.is_member(fake) or fake % 16 != target % 16:
         fake += 1
-    forged_values[0] = fake
-    forged = CipherStream(tuple(forged_values))
-    verdicts = verify_stream(forged, table)
+    corrupted_values[0] = fake
+    corrupted = CipherStream(tuple(corrupted_values))
+    verdicts = verify_stream(corrupted, table)
     print(f"replacing value 0 with member {fake} (same nibble {fake % 16}):")
-    print(f"  decoded text unchanged: {decode_message(forged)!r}")
+    print(f"  decoded text unchanged: {decode_message(corrupted)!r}")
     print(f"  but verify_stream flags position {verdicts.index(False)}")
+
+    forged = CipherStream((1, 2, 3, 4))
+    print(f"a keyless forgery {forged.values} decodes to {decode_message(forged)!r}")
+    print(f"  and passes verify_stream: {all(verify_stream(forged, table))}")
 
 
 if __name__ == "__main__":

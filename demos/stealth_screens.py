@@ -43,7 +43,8 @@ def main() -> None:
 
     print()
     print("screen 2: the same test on a stream that reuses one class")
-    lazy = [int(index.classes[3][0])] * 120
+    gaps = table.gaps()
+    lazy = [int(gaps[gaps % 16 == 3][0])] * 120
     stat, reject = chi_square_uniformity(lazy, 16)
     print(f"  {len(lazy)} values, statistic {stat:.2f}, reject uniformity: {reject}")
     print("  a flat statistic needs all 16 residues; repetition lights up instantly")

@@ -9,7 +9,6 @@ functions are evaluated at runtime.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,23 +57,10 @@ def gap_density(table: SemigroupTable) -> Fraction:
 
 
 def residue_histogram(table: SemigroupTable, modulus: int) -> np.ndarray:
-    """Gap counts per residue class mod `modulus`; the counts sum to the genus.
-
-    Runs in O(multiplicity * modulus) without materializing the gaps: the
-    gaps congruent to r mod m form the block r, r+m, ..., min_rep[r] - m,
-    which walks residues mod `modulus` in a cycle.
-    """
+    """Gap counts per residue class mod `modulus`, in O(m * modulus) from the table."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    m = table.multiplicity
-    per_class = table.min_rep // m
-    cycle = modulus // math.gcd(m, modulus)
-    full, rem = np.divmod(per_class, cycle)
-    counts = np.zeros(modulus, dtype=np.int64)
-    r = np.arange(m, dtype=np.int64)
-    for j in range(cycle):
-        np.add.at(counts, (r + j * m) % modulus, full + (j < rem))
-    return counts
+    return np.array([table.class_counts(modulus, v).sum() for v in range(modulus)])
 
 
 def _class_counts(values: Sequence[int], modulus: int) -> np.ndarray:

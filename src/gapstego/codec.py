@@ -4,7 +4,7 @@ Each payload byte splits into two 4-bit halves, high half first.  A half
 with value v is transmitted as a gap of the secret semigroup chosen
 uniformly among the gaps congruent to v mod 16, so the receiver recovers
 v as a plain residue and never needs the gap list itself.  Checking that
-received values really are gaps is a separate authenticity screen.
+received values really are gaps screens for corruption, not forgery.
 
 Optional salting adds k * L to every value for a per-value random
 k in [1, k_max], where L is the lcm of two chosen generators.  Adding a
@@ -29,7 +29,7 @@ from .errors import (
     NegativeInputError,
     ValueExceedsPeriodError,
 )
-from .semigroup import GeneratingSet, SemigroupTable
+from .semigroup import GeneratingSet, SemigroupTable, class_gaps
 
 DEFAULT_MODULUS = 16
 DEFAULT_K_MAX = 64
@@ -37,18 +37,24 @@ DEFAULT_K_MAX = 64
 
 @dataclass(frozen=True, eq=False)
 class GapIndex:
-    """Gaps of one semigroup bucketed by residue class.
+    """Running gap counts per residue class over the rows of the table.
 
-    classes[v] is a sorted int64 array of the gaps congruent to v mod
-    modulus.  Built once per key and reused across messages.
+    classes[v][i] counts the gaps congruent to v mod modulus in the rows
+    before the i-th that can hold any (see semigroup.class_gaps).
     """
 
     modulus: int
+    multiplicity: int
     classes: tuple[np.ndarray, ...]
-    frobenius: int
 
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return tuple(int(c[-1]) for c in self.classes)
+
+    def gaps_at(self, v: int, u: np.ndarray) -> np.ndarray:
+        """The gaps of class v numbered u row by row, 0 <= u < class size."""
+        starts = self.classes[v]
+        i = np.searchsorted(starts, u, side="right") - 1
+        return class_gaps(self.multiplicity, self.modulus, v, i, u - starts[i])
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,9 @@ class SaltSpec:
             raise ValueError(f"salt period must be >= 1, got {self.period}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        # the largest salted value, (period - 1) + k_max * period, must fit a stream
+        if (self.k_max + 1) * self.period > 2**64:
+            raise ValueError(f"k_max {self.k_max} with period {self.period} passes 2**64 - 1")
 
     @classmethod
     def from_generators(
@@ -94,39 +103,34 @@ class SaltSpec:
 
 
 def build_gap_index(table: SemigroupTable, modulus: int = DEFAULT_MODULUS) -> GapIndex:
-    """Bucket the gaps by residue; refuse keys with an empty class.
+    """Running gap counts per residue class; refuse keys with an empty class.
 
     Raises EmptyClassError naming the smallest residue whose class holds
     no gap, since such a key cannot carry that nibble value.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    gaps = table.gaps()
-    residues = gaps % modulus
-    classes = tuple(gaps[residues == v] for v in range(modulus))
-    for v, cls in enumerate(classes):
-        if len(cls) == 0:
+    classes = tuple(
+        np.concatenate(([0], table.class_counts(modulus, v).cumsum())) for v in range(modulus)
+    )
+    for v, starts in enumerate(classes):
+        if starts[-1] == 0:
             raise EmptyClassError(v)
-    return GapIndex(modulus, classes, table.frobenius)
-
-
-def encode_nibble(v: int, index: GapIndex, rng: random.Random) -> int:
-    """Uniform draw from the gaps congruent to v mod the index modulus."""
-    if not 0 <= v < index.modulus:
-        raise ValueError(f"value {v} outside [0, {index.modulus})")
-    cls = index.classes[v]
-    return int(cls[rng.randrange(len(cls))])
+    return GapIndex(modulus, table.multiplicity, classes)
 
 
 def encode_message(payload: bytes, index: GapIndex, rng: random.Random) -> CipherStream:
-    """Encode bytes as gap values, two per byte, high nibble first."""
+    """Encode bytes as gap values, two per byte, high nibble first, a class at a time."""
     if index.modulus != DEFAULT_MODULUS:
         raise ValueError(f"byte encoding needs modulus 16, got {index.modulus}")
-    values = []
-    for byte in payload:
-        values.append(encode_nibble(byte >> 4, index, rng))
-        values.append(encode_nibble(byte & 0xF, index, rng))
-    return CipherStream(tuple(values))
+    gen = np.random.default_rng(rng.getrandbits(128))
+    data = np.frombuffer(payload, dtype=np.uint8)
+    nibbles = np.stack((data >> 4, data & 0xF), axis=1).ravel()
+    values = np.empty(len(nibbles), dtype=np.int64)
+    for v, size in enumerate(index.class_sizes()):
+        at = np.flatnonzero(nibbles == v)
+        values[at] = index.gaps_at(v, gen.integers(size, size=len(at)))
+    return CipherStream(tuple(values.tolist()))
 
 
 def decode_byte(n1: int, n2: int, modulus: int = DEFAULT_MODULUS) -> int:
@@ -149,7 +153,7 @@ def decode_message(stream: CipherStream) -> bytes:
 
 
 def verify_stream(stream: CipherStream, table: SemigroupTable) -> list[bool]:
-    """Authenticity screen: per value, is it really a gap of our semigroup?
+    """Corruption screen: per value, is it really a gap of our semigroup?
 
     Only meaningful on an unsalted stream; salted input is refused rather
     than judged wrongly.
@@ -197,11 +201,8 @@ def measure_salt_gap_preservation(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    gaps = table.gaps()
-    preserved = 0
-    for _ in range(samples):
-        x = int(gaps[rng.randrange(len(gaps))])
-        k = rng.randint(1, spec.k_max)
-        if not table.is_member(x + k * spec.period):
-            preserved += 1
-    return Fraction(preserved, samples)
+    index = build_gap_index(table, 1)
+    gen = np.random.default_rng(rng.getrandbits(128))
+    gaps = index.gaps_at(0, gen.integers(table.genus, size=samples)).tolist()
+    salted = (x + rng.randint(1, spec.k_max) * spec.period for x in gaps)
+    return Fraction(sum(not table.is_member(x) for x in salted), samples)

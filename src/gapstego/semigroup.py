@@ -19,6 +19,7 @@ with d_prev and d the gcds of the prefix without and with a.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -110,19 +111,17 @@ class SemigroupTable:
         return arr >= self.min_rep[arr % self.multiplicity]
 
     def gaps(self) -> np.ndarray:
-        """All gaps in increasing order; the length equals the genus.
+        """All gaps in increasing order, O(genus): row r holds r, r + m, ..., min_rep[r] - m."""
+        rows = enumerate(self.min_rep.tolist())
+        return np.sort(np.concatenate([np.arange(r, top, self.multiplicity) for r, top in rows]))
 
-        The gaps congruent to r mod m are r, r + m, ..., min_rep[r] - m,
-        so the whole list costs O(genus) to produce.
-        """
+    def class_counts(self, modulus: int, v: int) -> np.ndarray:
+        """How many gaps congruent to v each row that can hold one holds (see class_gaps)."""
         m = self.multiplicity
-        pieces = [
-            np.arange(r, int(top), m, dtype=np.int64)
-            for r, top in enumerate(self.min_rep)
-        ]
-        out = np.concatenate(pieces)
-        out.sort()
-        return out
+        g = math.gcd(m, modulus)
+        step = m // g * modulus  # lcm(m, modulus): between two of a row's class-v gaps
+        first = class_gaps(m, modulus, v, np.arange(m // g, dtype=np.int64))
+        return (self.min_rep[v % g :: g] - first + step - 1) // step
 
     def is_symmetric(self) -> bool:
         """True when the gaps fill exactly half of [0, F].
@@ -133,13 +132,28 @@ class SemigroupTable:
         return 2 * self.genus == self.frobenius + 1
 
 
-def _round_robin(elems: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...], bool]:
+def class_gaps(m: int, modulus: int, v: int, i: np.ndarray, k: np.ndarray | int = 0) -> np.ndarray:
+    """The k-th gap congruent to v mod `modulus` in the i-th row that can hold one.
+
+    Row r of a table with multiplicity m holds the gaps r + j*m, j < min_rep[r] // m.
+    With g = gcd(m, modulus) and c = modulus // g, r + j*m = v (mod modulus) needs
+    r = v % g + i*g, i < m // g, and then holds for j = j0 + k*c, with j0 < c
+    solving j0 * (m // g) = (v - r) // g (mod c).  Callers check j < min_rep[r] // m.
+    """
+    g = math.gcd(m, modulus)
+    c = modulus // g
+    j0 = (v // g - i) * pow(m // g, -1, c) % c
+    return v % g + i * g + (j0 + k * c) * m
+
+
+@functools.lru_cache(maxsize=1)
+def _round_robin(elems: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...], bool]:
     """Table, minimal generators and telescopic verdict of increasing elems.
 
     Generator a splits the residues mod m into gcd(a, m) cycles of the step
     r -> r + a.  Each cycle is rotated to start at its minimum, which adding
     a can never lower, so one running minimum of n[r] - k*a along it gives
-    the new entries.
+    the new entries.  The last key's result is kept, its table read-only.
     """
     m = elems[0]
     if m > MAX_MULTIPLICITY:
@@ -171,6 +185,7 @@ def _round_robin(elems: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...], boo
         np.minimum.accumulate(v, axis=1, out=v)
         v += ka
         n[idx] = v
+    n.setflags(write=False)
     return n, tuple(minimal), telescopic
 
 
@@ -183,7 +198,6 @@ def build_table(gens: GeneratingSet) -> SemigroupTable:
     and is_telescopic share the pass.  Raises LimitError past either cap.
     """
     min_rep = _round_robin(gens.elements)[0]
-    min_rep.setflags(write=False)
     m = gens.elements[0]
     frobenius = int(min_rep.max()) - m
     genus = int((min_rep // m).sum())

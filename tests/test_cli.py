@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from gapstego import parse_key, parse_stream, serialize_key, KeyFile, validate_generators
+from gapstego import (
+    KeyFile,
+    SemigroupTable,
+    parse_key,
+    parse_stream,
+    serialize_key,
+    validate_generators,
+)
 from gapstego.cli import main
+from gapstego.semigroup import _round_robin
 from gapstego.selftest import run_selftest
 
 
@@ -19,6 +28,15 @@ def write_key(tmp_path, gens, mode="telescopic", seed=0, salt_pair=None, name="k
 def viable_key(tmp_path):
     # (37, 38) is coprime, viable mod 16, and lcm(37,38) > F = 1331
     return write_key(tmp_path, (37, 38), mode="appendix-c", salt_pair=(0, 1))
+
+
+# the key of `gapstego keygen --seed 1`, the README's example
+README_GENS = (568, 3692, 4084, 4314, 4483)
+
+
+@pytest.fixture
+def readme_key(tmp_path):
+    return write_key(tmp_path, README_GENS, seed=1, salt_pair=(3, 4), name="demo.key")
 
 
 class TestKeygen:
@@ -189,6 +207,73 @@ class TestEncodeDecode:
         rc = main(["decode", "--key", str(viable_key), "--in", str(stream), "--out", str(tmp_path / "o.bin")])
         assert rc == 2
         assert "odd" in capsys.readouterr().err
+
+
+class TestSaltBound:
+    # salted values reach (L - 1) + k_max * L, which the stream format
+    # caps at 2**64 - 1
+    PERIOD = math.lcm(4314, 4483)
+    K_MAX = (2**64 - PERIOD) // PERIOD
+
+    def encode(self, tmp_path, key, k_max):
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"gap codes")
+        out = tmp_path / "salted.txt"
+        args = ["encode", "--key", str(key), "--in", str(src), "--out", str(out)]
+        return main(args + ["--salt", "--k-max", str(k_max), "--seed", "1"]), out
+
+    def test_k_max_at_bound_round_trips(self, tmp_path, readme_key):
+        assert self.PERIOD - 1 + self.K_MAX * self.PERIOD <= 2**64 - 1
+        rc, stream = self.encode(tmp_path, readme_key, self.K_MAX)
+        assert rc == 0
+        assert parse_stream(stream.read_text()).salt_period == self.PERIOD
+        out = tmp_path / "o.bin"
+        args = ["decode", "--key", str(readme_key), "--in", str(stream), "--out", str(out)]
+        assert main(args + ["--verify"]) == 0
+        assert out.read_bytes() == b"gap codes"
+
+    def test_k_max_past_bound_refused(self, tmp_path, readme_key, capsys):
+        rc, stream = self.encode(tmp_path, readme_key, self.K_MAX + 1)
+        assert rc == 2
+        assert not stream.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k_max" in captured.err
+
+
+class TestForgery:
+    def test_small_values_pass_verify(self, tmp_path, readme_key):
+        # every positive value below the smallest generator (568) is a gap,
+        # so --verify screens for corruption only
+        stream = tmp_path / "forged.txt"
+        stream.write_text("1\n2\n3\n4\n")
+        out = tmp_path / "o.bin"
+        args = ["decode", "--key", str(readme_key), "--in", str(stream), "--out", str(out)]
+        assert main(args + ["--verify"]) == 0
+        assert out.read_bytes() == b"\x12\x34"
+
+
+class TestKeyCost:
+    def test_commands_never_list_the_gaps(self, tmp_path, readme_key, monkeypatch):
+        def refuse(table):
+            raise AssertionError("a command listed every gap of the key")
+
+        monkeypatch.setattr(SemigroupTable, "gaps", refuse)
+        src = tmp_path / "p.bin"
+        src.write_bytes(random.Random(0).randbytes(100))
+        key = ["--key", str(readme_key)]
+        stream, salted = tmp_path / "s.txt", tmp_path / "salted.txt"
+        assert main(["encode", *key, "--in", str(src), "--out", str(stream)]) == 0
+        assert main(["encode", *key, "--in", str(src), "--out", str(salted), "--salt"]) == 0
+        assert main(["inspect", *key]) == 0
+        out = str(tmp_path / "o.bin")
+        assert main(["decode", *key, "--in", str(salted), "--out", out, "--verify"]) == 0
+        assert main(["analyze", *key, "--in", str(stream)]) == 0
+
+    def test_inspect_runs_one_pass(self, readme_key):
+        _round_robin.cache_clear()
+        assert main(["inspect", "--key", str(readme_key)]) == 0
+        assert _round_robin.cache_info().misses == 1
 
 
 class TestAnalyze:

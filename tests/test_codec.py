@@ -4,8 +4,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapstego import (
@@ -21,8 +22,8 @@ from gapstego import (
     decode_message,
     desalt_stream,
     encode_message,
-    encode_nibble,
     measure_salt_gap_preservation,
+    residue_histogram,
     salt_stream,
     validate_generators,
     verify_stream,
@@ -34,55 +35,82 @@ def index3738(table3738):
     return build_gap_index(table3738, 16)
 
 
+small_keys = (
+    st.lists(st.integers(2, 40), min_size=2, max_size=4)
+    .filter(lambda xs: math.gcd(*xs) == 1)
+    .map(validate_generators)
+)
+moduli = st.sampled_from((1, 4, 16))
+
+
+def classes_by_gap_list(table, modulus):
+    gaps = table.gaps()
+    return [gaps[gaps % modulus == v].tolist() for v in range(modulus)]
+
+
 class TestGapIndex:
     def test_mod4_partition(self, table57):
+        # rows of (5, 7), min_rep (0, 21, 7, 28, 14): row 1 holds 1, 6, 11, 16,
+        # row 2 holds 2, row 3 holds 3, 8, 13, 18, 23 and row 4 holds 4, 9
         idx = build_gap_index(table57, 4)
         assert idx.modulus == 4
-        assert idx.frobenius == 23
-        assert idx.classes[0].tolist() == [4, 8, 16]
-        assert idx.classes[1].tolist() == [1, 9, 13]
-        assert idx.classes[2].tolist() == [2, 6, 18]
-        assert idx.classes[3].tolist() == [3, 11, 23]
+        assert [c.tolist() for c in idx.classes] == [[0, 0, 1, 1, 2, 3]] * 2 + [
+            [0, 0, 1, 2, 3, 3],
+            [0, 0, 1, 1, 3, 3],
+        ]
+        numbered = [idx.gaps_at(v, np.arange(3)).tolist() for v in range(4)]
+        assert numbered == [[16, 8, 4], [1, 13, 9], [6, 2, 18], [11, 3, 23]]
+
+    def test_trivial_modulus(self, table57):
+        idx = build_gap_index(table57, 1)
+        assert idx.class_sizes() == (table57.genus,)
+        numbered = idx.gaps_at(0, np.arange(table57.genus))
+        assert sorted(numbered.tolist()) == table57.gaps().tolist()
+
+    @given(gens=small_keys, modulus=moduli)
+    @example(gens=validate_generators((5, 7)), modulus=4)
+    @example(gens=validate_generators((37, 38)), modulus=16)  # gcd(m, 16) = 1
+    @example(gens=validate_generators((32, 33)), modulus=16)  # gcd 16
+    @example(gens=validate_generators((36, 37)), modulus=16)  # gcd 4
+    @example(gens=validate_generators((40, 41)), modulus=16)  # gcd 8
+    @settings(max_examples=200)
+    def test_numbering_is_a_bijection_onto_each_class(self, gens, modulus):
+        # gaps_at numbers the class-v gaps row by row; sorted, the numbered
+        # gaps must be exactly the class-v gaps of the gap list
+        table = build_table(gens)
+        expected = classes_by_gap_list(table, modulus)
+        if not all(expected):
+            return  # build_gap_index refuses the key (see below)
+        idx = build_gap_index(table, modulus)
+        assert idx.modulus == modulus
+        for v, size in enumerate(idx.class_sizes()):
+            assert sorted(idx.gaps_at(v, np.arange(size)).tolist()) == expected[v]
+
+    @given(gens=small_keys, modulus=moduli)
+    @example(gens=validate_generators((37, 38)), modulus=16)
+    @settings(max_examples=200)
+    def test_sizes_match_histogram(self, gens, modulus):
+        table = build_table(gens)
+        hist = residue_histogram(table, modulus).tolist()
+        if min(hist) > 0:
+            assert list(build_gap_index(table, modulus).class_sizes()) == hist
+
+    @given(gens=small_keys, modulus=moduli)
+    @settings(max_examples=200)
+    def test_empty_class_names_smallest_residue(self, gens, modulus):
+        table = build_table(gens)
+        empty = [v for v, cls in enumerate(classes_by_gap_list(table, modulus)) if not cls]
+        if not empty:
+            build_gap_index(table, modulus)
+            return
+        with pytest.raises(EmptyClassError) as exc:
+            build_gap_index(table, modulus)
+        assert exc.value.residue == empty[0]
 
     def test_empty_class_reported(self, table57):
         with pytest.raises(EmptyClassError) as exc:
             build_gap_index(table57, 16)
         assert exc.value.residue == 5
-
-    def test_trivial_modulus(self, table57):
-        idx = build_gap_index(table57, 1)
-        assert idx.classes[0].tolist() == table57.gaps().tolist()
-
-    def test_sizes_match_histogram(self, table3738):
-        from gapstego import residue_histogram
-
-        idx = build_gap_index(table3738, 16)
-        assert list(idx.class_sizes()) == residue_histogram(table3738, 16).tolist()
-
-
-class TestEncodeNibble:
-    def test_lands_in_class(self, table57):
-        idx = build_gap_index(table57, 4)
-        rng = random.Random(1)
-        for v in range(4):
-            for _ in range(20):
-                x = encode_nibble(v, idx, rng)
-                assert x % 4 == v
-                assert not table57.is_member(x)
-
-    def test_range_checked(self, table57):
-        idx = build_gap_index(table57, 4)
-        rng = random.Random(0)
-        with pytest.raises(ValueError):
-            encode_nibble(4, idx, rng)
-        with pytest.raises(ValueError):
-            encode_nibble(-1, idx, rng)
-
-    def test_eventually_uses_every_gap(self, table57):
-        idx = build_gap_index(table57, 4)
-        rng = random.Random(7)
-        seen = {encode_nibble(2, idx, rng) for _ in range(200)}
-        assert seen == {2, 6, 18}
 
 
 class TestEncodeMessage:
@@ -93,6 +121,17 @@ class TestEncodeMessage:
         assert stream.values[1] % 16 == 0xA
         assert not stream.salted
 
+    def test_lands_in_class(self, table3738, index3738):
+        payload = bytes(range(256))
+        stream = encode_message(payload, index3738, random.Random(1))
+        nibbles = [n for byte in payload for n in (byte >> 4, byte & 0xF)]
+        assert [x % 16 for x in stream.values] == nibbles
+        assert not table3738.members(stream.values).any()
+
+    def test_eventually_uses_every_gap(self, table3738, index3738):
+        stream = encode_message(b"\x22" * 1000, index3738, random.Random(7))
+        assert set(stream.values) == set(classes_by_gap_list(table3738, 16)[2])
+
     def test_empty_payload(self, index3738):
         stream = encode_message(b"", index3738, random.Random(0))
         assert stream.values == ()
@@ -102,6 +141,13 @@ class TestEncodeMessage:
         b = encode_message(b"BONJOUR", index3738, random.Random(3))
         assert a.values == b.values
         assert len(a.values) == 14
+
+    def test_range_checked(self, table3738, index3738, table57):
+        # nibbles run over [0, 16), past the classes of a smaller modulus
+        with pytest.raises(ValueError):
+            encode_message(b"hi", build_gap_index(table57, 1), random.Random(0))
+        stream = encode_message(random.Random(0).randbytes(500), index3738, random.Random(0))
+        assert 1 <= min(stream.values) and max(stream.values) <= table3738.frobenius
 
     def test_requires_modulus_16(self, table57):
         idx = build_gap_index(table57, 4)
@@ -187,6 +233,16 @@ class TestSalting:
             SaltSpec(period=35, k_max=0)
         with pytest.raises(ValueError):
             SaltSpec.from_generators(validate_generators((5, 7)), 1, 1)
+
+    def test_spec_keeps_salted_values_in_u64(self):
+        # the largest salted value is (period - 1) + k_max * period
+        period = 4314 * 4483
+        top = (2**64 - period) // period
+        assert SaltSpec(period, k_max=top).k_max == top
+        with pytest.raises(ValueError):
+            SaltSpec(period, k_max=top + 1)
+        with pytest.raises(ValueError):
+            SaltSpec(period=2**64)
 
     @given(
         st.lists(st.integers(0, 10**6), max_size=40),

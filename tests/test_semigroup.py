@@ -20,6 +20,7 @@ from gapstego import (
     minimal_generators,
     validate_generators,
 )
+from gapstego.semigroup import _round_robin
 
 
 def generating_sets(max_value=200, max_count=5):
@@ -85,6 +86,16 @@ class TestBuildTable:
     def test_min_rep_is_readonly(self, table57):
         with pytest.raises(ValueError):
             table57.min_rep[0] = 99
+
+    def test_one_pass_per_key(self):
+        gens = validate_generators((6, 10, 15))
+        _round_robin.cache_clear()
+        table = build_table(gens)
+        assert tuple(minimal_generators(gens)) == (6, 10, 15)
+        assert is_telescopic(gens)
+        assert build_table(gens).min_rep is table.min_rep
+        assert _round_robin.cache_info().misses == 1
+        assert not table.min_rep.flags.writeable
 
     def test_multiplicity_limit(self):
         with pytest.raises(LimitError):
