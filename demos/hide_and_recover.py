@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from gapstego import (
     CipherStream,
     KeygenParams,
@@ -44,21 +46,22 @@ def main() -> None:
     stream = encode_message(MESSAGE, index, rng)
     print()
     print(f"payload {MESSAGE!r} becomes {len(stream)} integers:")
-    for pos in range(0, len(stream.values), 8):
-        print("  " + " ".join(f"{v:7d}" for v in stream.values[pos : pos + 8]))
+    values = stream.values.tolist()  # the stream is one uint64 array
+    for pos in range(0, len(values), 8):
+        print("  " + " ".join(f"{v:7d}" for v in values[pos : pos + 8]))
 
     # residues carry the data in plain sight
-    nibbles = [v % 16 for v in stream.values]
+    nibbles = [v % 16 for v in values]
     rebuilt = bytes((nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2))
     print(f"residues mod 16 pair back into: {rebuilt!r}")
     print(f"decode_message agrees         : {decode_message(stream)!r}")
 
     print()
     verdicts = verify_stream(stream, table)
-    print(f"verify_stream: all {len(verdicts)} values are gaps = {all(verdicts)}")
+    print(f"verify_stream: all {len(verdicts)} values are gaps = {verdicts.all()}")
 
     # a value swapped for a member with the same residue decodes the same
-    corrupted_values = list(stream.values)
+    corrupted_values = list(values)
     target = corrupted_values[0]
     fake = target + table.multiplicity  # same residue class mod m is wrong on purpose
     while not table.is_member(fake) or fake % 16 != target % 16:
@@ -68,11 +71,11 @@ def main() -> None:
     verdicts = verify_stream(corrupted, table)
     print(f"replacing value 0 with member {fake} (same nibble {fake % 16}):")
     print(f"  decoded text unchanged: {decode_message(corrupted)!r}")
-    print(f"  but verify_stream flags position {verdicts.index(False)}")
+    print(f"  but verify_stream flags position {np.flatnonzero(~verdicts)[0]}")
 
     forged = CipherStream((1, 2, 3, 4))
-    print(f"a keyless forgery {forged.values} decodes to {decode_message(forged)!r}")
-    print(f"  and passes verify_stream: {all(verify_stream(forged, table))}")
+    print(f"a keyless forgery {tuple(forged.values.tolist())} decodes to {decode_message(forged)!r}")
+    print(f"  and passes verify_stream: {verify_stream(forged, table).all()}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from gapstego import (
     KeygenParams,
     SaltSpec,
@@ -44,19 +46,19 @@ def main() -> None:
     plain = encode_message(payload, index, rng)
     salted = salt_stream(plain, spec, rng)
     print()
-    print(f"plain  max value: {max(plain.values):>12d}  (never exceeds F)")
-    print(f"salted max value: {max(salted.values):>12d}  (up to F + k_max * L)")
+    print(f"plain  max value: {int(plain.values.max()):>12d}  (never exceeds F)")
+    print(f"salted max value: {int(salted.values.max()):>12d}  (up to F + k_max * L)")
     print(f"salted stream records its period: {salted.salt_period}")
 
     back = desalt_stream(salted)
-    print(f"desalt inverts salt exactly: {back.values == plain.values}")
+    print(f"desalt inverts salt exactly: {np.array_equal(back.values, plain.values)}")
     print(f"decode_message(salted) = {decode_message(salted)!r}")
 
     print()
     print("but are salted values still gaps?")
     verdicts = verify_stream(back, table)
-    print(f"  de-salted values: {sum(verdicts)}/{len(verdicts)} gaps (all, as encoded)")
-    salted_gaps = [not table.is_member(v) for v in salted.values]
+    print(f"  de-salted values: {verdicts.sum()}/{len(verdicts)} gaps (all, as encoded)")
+    salted_gaps = [not table.is_member(v) for v in salted.values.tolist()]
     print(f"  salted values   : {sum(salted_gaps)}/{len(salted_gaps)} gaps")
     print("  the period exceeds F, so every salted value lands in the semigroup")
 

@@ -63,11 +63,20 @@ def residue_histogram(table: SemigroupTable, modulus: int) -> np.ndarray:
     return np.array([table.class_counts(modulus, v).sum() for v in range(modulus)])
 
 
-def _class_counts(values: Sequence[int], modulus: int) -> np.ndarray:
+def _pearson(values: "np.ndarray | Sequence[int]", modulus: int) -> tuple[np.ndarray, float, bool]:
+    """Class counts, Pearson statistic and verdict; the modulus is checked before counting."""
+    n = len(values)
+    if n < 5 * modulus:
+        raise InsufficientSamplesError(
+            f"need at least {5 * modulus} values for modulus {modulus}, got {n}"
+        )
+    critical = chi2_critical(modulus - 1)
     # stream values run up to 2**64 - 1, past int64, so reduce them as uint64
-    residues = np.array(values, dtype=np.uint64)
-    residues %= modulus
-    return np.bincount(residues.view(np.int64), minlength=modulus)
+    residues = np.asarray(values, dtype=np.uint64) % np.uint64(modulus)
+    counts = np.bincount(residues.view(np.int64), minlength=modulus)
+    expected = n / modulus
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    return counts, statistic, statistic > critical
 
 
 def chi_square_uniformity(
@@ -79,16 +88,8 @@ def chi_square_uniformity(
     hypothesis fails at the 5% level.  Needs at least 5 * modulus values
     so the usual expected-count rule of thumb holds.
     """
-    values = getattr(stream, "values", stream)
-    n = len(values)
-    if n < 5 * modulus:
-        raise InsufficientSamplesError(
-            f"need at least {5 * modulus} values for modulus {modulus}, got {n}"
-        )
-    counts = _class_counts(values, modulus)
-    expected = n / modulus
-    statistic = float(((counts - expected) ** 2 / expected).sum())
-    return statistic, statistic > chi2_critical(modulus - 1)
+    _, statistic, reject = _pearson(getattr(stream, "values", stream), modulus)
+    return statistic, reject
 
 
 def window_gap_fraction(table: SemigroupTable, start: int, window_len: int) -> Fraction:
@@ -155,9 +156,8 @@ def build_report(
     seed: int = 0,
 ) -> AnalysisReport:
     """Run every screen that applies and bundle the outcomes."""
-    values = tuple(getattr(stream, "values", stream))
-    histogram = tuple(int(c) for c in _class_counts(values, modulus))
-    statistic, reject = chi_square_uniformity(values, modulus)
+    values = getattr(stream, "values", stream)
+    counts, statistic, reject = _pearson(values, modulus)
     density = None
     fractions: tuple[Fraction, ...] = ()
     if table is not None:
@@ -168,7 +168,7 @@ def build_report(
     return AnalysisReport(
         n_values=len(values),
         modulus=modulus,
-        class_histogram=histogram,
+        class_histogram=tuple(counts.tolist()),
         chi_square=statistic,
         df=modulus - 1,
         reject_uniformity=reject,

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .analysis import build_report, gap_density
 from .codec import (
     SaltSpec,
@@ -155,10 +157,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         stream = desalt_stream(stream)
     if args.verify:
         table = build_table(key.generators)
-        verdicts = verify_stream(stream, table)
-        bad = [str(i) for i, is_gap in enumerate(verdicts) if not is_gap]
-        if bad:
-            shown = ",".join(bad[:20]) + (",..." if len(bad) > 20 else "")
+        bad = np.flatnonzero(~verify_stream(stream, table))
+        if bad.size:
+            shown = ",".join(map(str, bad[:20].tolist())) + (",..." if bad.size > 20 else "")
             print(
                 f"verification failed: {len(bad)} stream value(s) are not gaps"
                 f" (positions {shown})",
@@ -170,6 +171,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {args.modulus}")
     stream = parse_stream(_read_text(args.input))
     table = build_table(_load_key(args.key).generators) if args.key else None
     report = build_report(stream, modulus=args.modulus, table=table)

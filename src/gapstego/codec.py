@@ -6,6 +6,10 @@ uniformly among the gaps congruent to v mod 16, so the receiver recovers
 v as a plain residue and never needs the gap list itself.  Checking that
 received values really are gaps screens for corruption, not forgery.
 
+A stream is one read-only uint64 array, and each step on it (decode,
+verify, salt, de-salt) is a whole-array operation; verify_stream returns
+a boolean array, True where a value is a gap.
+
 Optional salting adds k * L to every value for a per-value random
 k in [1, k_max], where L is the lcm of two chosen generators.  Adding a
 multiple of any member keeps gap-ness intact often enough to audit but
@@ -57,16 +61,41 @@ class GapIndex:
         return class_gaps(self.multiplicity, self.modulus, v, i, u - starts[i])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CipherStream:
     """Transmitted integer sequence, possibly salted.
 
-    salt_period is None for a bare gap stream and the salting period L
-    otherwise; it must ride along for the receiver to undo the salt.
+    values is a read-only uint64 array.  Any sequence of integers in
+    [0, 2**64 - 1] is converted; a uint64 array is taken as a view, not
+    copied.  salt_period is None for a bare gap stream and the salting
+    period L otherwise; it must ride along for the receiver to undo the
+    salt.
     """
 
-    values: tuple[int, ...]
+    values: np.ndarray
     salt_period: int | None = None
+
+    def __post_init__(self) -> None:
+        values = self.values
+        negative = NegativeInputError("stream values must be non-negative")
+        # a signed array would wrap silently in the cast; Python ints raise
+        if isinstance(values, np.ndarray) and values.dtype.kind == "i" and (values < 0).any():
+            raise negative
+        try:
+            values = np.asarray(values, dtype=np.uint64).view()
+        except OverflowError:
+            if any(v < 0 for v in values):
+                raise negative from None
+            raise
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CipherStream):
+            return NotImplemented
+        return self.salt_period == other.salt_period and np.array_equal(
+            self.values, other.values
+        )
 
     @property
     def salted(self) -> bool:
@@ -126,68 +155,64 @@ def encode_message(payload: bytes, index: GapIndex, rng: random.Random) -> Ciphe
     gen = np.random.default_rng(rng.getrandbits(128))
     data = np.frombuffer(payload, dtype=np.uint8)
     nibbles = np.stack((data >> 4, data & 0xF), axis=1).ravel()
-    values = np.empty(len(nibbles), dtype=np.int64)
+    values = np.empty(len(nibbles), dtype=np.uint64)
     for v, size in enumerate(index.class_sizes()):
         at = np.flatnonzero(nibbles == v)
         values[at] = index.gaps_at(v, gen.integers(size, size=len(at)))
-    return CipherStream(tuple(values.tolist()))
-
-
-def decode_byte(n1: int, n2: int, modulus: int = DEFAULT_MODULUS) -> int:
-    """Rebuild one byte from two values: residues only, no key needed."""
-    if modulus != DEFAULT_MODULUS:
-        raise ValueError(f"byte decoding needs modulus 16, got {modulus}")
-    if n1 < 0 or n2 < 0:
-        raise NegativeInputError("stream values must be non-negative")
-    return ((n1 % modulus) << 4) | (n2 % modulus)
+    return CipherStream(values)
 
 
 def decode_message(stream: CipherStream) -> bytes:
-    """Decode a whole stream back to bytes, de-salting first if needed."""
+    """Decode a whole stream back to bytes, de-salting first if needed.
+
+    Residues only, no key needed: value pair (a, b) gives the byte
+    (a % 16) << 4 | (b % 16).
+    """
     if stream.salted:
         stream = desalt_stream(stream)
     vals = stream.values
     if len(vals) % 2:
         raise ValueError(f"stream length {len(vals)} is odd, expected value pairs")
-    return bytes(decode_byte(vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
+    nibbles = (vals % np.uint64(DEFAULT_MODULUS)).astype(np.uint8)
+    return ((nibbles[0::2] << 4) | nibbles[1::2]).tobytes()
 
 
-def verify_stream(stream: CipherStream, table: SemigroupTable) -> list[bool]:
-    """Corruption screen: per value, is it really a gap of our semigroup?
+def verify_stream(stream: CipherStream, table: SemigroupTable) -> np.ndarray:
+    """Corruption screen: a boolean array, True where the value is a gap of our semigroup.
 
     Only meaningful on an unsalted stream; salted input is refused rather
     than judged wrongly.
     """
     if stream.salted:
         raise ValueError("verify runs on de-salted streams; call desalt_stream first")
-    if not stream.values:
-        return []
     # values run up to 2**64 - 1; every value above F is a member, so clamp
     # to F + 1 before the int64 table lookup
-    arr = np.array(stream.values, dtype=np.uint64)
-    np.minimum(arr, table.frobenius + 1, out=arr)
-    return [not m for m in table.members(arr.view(np.int64))]
+    clamped = np.minimum(stream.values, np.uint64(table.frobenius + 1))
+    return ~table.members(clamped.view(np.int64))
 
 
 def salt_stream(stream: CipherStream, spec: SaltSpec, rng: random.Random) -> CipherStream:
     """Add k * period to every value, fresh k in [1, k_max] each time."""
     if stream.salted:
         raise ValueError("stream already carries a salt period")
-    for v in stream.values:
-        if v >= spec.period:
-            raise ValueExceedsPeriodError(
-                f"value {v} >= salt period {spec.period}; salting would be ambiguous"
-            )
-    salted = tuple(v + rng.randint(1, spec.k_max) * spec.period for v in stream.values)
-    return CipherStream(salted, spec.period)
+    period = np.uint64(spec.period)
+    over = stream.values >= period
+    if over.any():
+        v = stream.values[over.argmax()]
+        raise ValueExceedsPeriodError(
+            f"value {v} >= salt period {spec.period}; salting would be ambiguous"
+        )
+    gen = np.random.default_rng(rng.getrandbits(128))
+    k = gen.integers(1, spec.k_max, size=len(stream), dtype=np.uint64, endpoint=True)
+    # SaltSpec keeps (period - 1) + k_max * period within 2**64 - 1
+    return CipherStream(stream.values + k * period, spec.period)
 
 
 def desalt_stream(stream: CipherStream) -> CipherStream:
     """Undo salting by reducing every value mod the carried period."""
     if not stream.salted:
         raise MissingSaltPeriodError("stream carries no salt period")
-    period = stream.salt_period
-    return CipherStream(tuple(v % period for v in stream.values), None)
+    return CipherStream(stream.values % np.uint64(stream.salt_period))
 
 
 def measure_salt_gap_preservation(

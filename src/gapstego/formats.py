@@ -16,13 +16,21 @@ Stream file::
     salt <L>              (only when salted)
     <one decimal value per line>
 
-Parsing is strict: unknown lines, bad numbers or out-of-range values
-raise FormatError rather than being skipped.
+A number is a token of ASCII digits, [0-9]+, and at most 2**64 - 1.
+Stream lines end in \n, \r\n or \r; spaces and tabs around a token
+and blank lines are allowed.  Parsing is strict: unknown lines, bad
+numbers or out-of-range values raise FormatError rather than being
+skipped.  A parsed stream is one uint64 array, read and written a whole
+buffer at a time.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import CipherStream
 from .errors import FormatError, GapstegoError
@@ -31,6 +39,14 @@ from .semigroup import GeneratingSet, validate_generators
 
 KEY_MAGIC = "frobkey/1"
 _U64_MAX = 2**64 - 1
+_TOKEN = re.compile("[0-9]+")
+_BLANKS = " \t"
+_LINE_BREAKS = "\r\n"
+_HEADER = re.compile(f"[{_BLANKS}{_LINE_BREAKS}]*salt[^{_LINE_BREAKS}]*".encode())
+# 2**64 - 1 has 20 digits: a longer token is in range only when zero-padded
+_WIDTH = len(str(_U64_MAX))
+_U64_DIGITS = np.bytes_(str(_U64_MAX))
+_POW10 = np.uint64(10) ** np.arange(1, _WIDTH, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -53,11 +69,10 @@ def serialize_key(key: KeyFile) -> str:
 
 
 def _parse_uint(text: str, what: str, maximum: int = _U64_MAX) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise FormatError(f"{what}: expected a decimal integer, got {text!r}") from None
-    if not 0 <= value <= maximum:
+    if not _TOKEN.fullmatch(text):
+        raise FormatError(f"{what}: expected a decimal integer, got {text!r}")
+    value = int(text)
+    if value > maximum:
         raise FormatError(f"{what}: {value} outside [0, {maximum}]")
     return value
 
@@ -109,24 +124,99 @@ def parse_key(text: str) -> KeyFile:
 
 
 def serialize_stream(stream: CipherStream) -> str:
-    lines = []
-    if stream.salted:
-        lines.append(f"salt {stream.salt_period}")
-    lines.extend(str(v) for v in stream.values)
-    # trailing newline unless the file would be empty
-    return "\n".join(lines) + "\n" if lines else ""
+    header = f"salt {stream.salt_period}\n" if stream.salted else ""
+    values = stream.values
+    if not len(values):
+        return header
+    # one row per value: its digits right-aligned, then a line break
+    lengths = np.searchsorted(_POW10, values, side="right") + 1
+    width = int(lengths.max())
+    rows = np.empty((len(values), width + 1), dtype=np.uint8)
+    rest, digit = values.copy(), np.empty_like(values)
+    for col in range(width - 1, -1, -1):
+        np.divmod(rest, np.uint64(10), out=(rest, digit))
+        rows[:, col] = digit
+    rows += np.uint8(ord("0"))
+    rows[:, width] = ord("\n")
+    keep = np.arange(width + 1, dtype=np.uint8) >= (width - lengths).astype(np.uint8)[:, None]
+    return header + rows[keep].tobytes().decode("ascii")
 
 
 def parse_stream(text: str) -> CipherStream:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    data = text.encode("utf-8", "surrogatepass")
     salt_period = None
-    if lines and lines[0].startswith("salt"):
-        parts = lines[0].split()
+    header = _HEADER.match(data)
+    if header:
+        line = _decode(header.group()).strip(_BLANKS + _LINE_BREAKS)
+        parts = re.split(f"[{_BLANKS}]+", line)
         if len(parts) != 2 or parts[0] != "salt":
-            raise FormatError(f"salt header must be 'salt <L>', got {lines[0]!r}")
+            raise FormatError(f"salt header must be 'salt <L>', got {line!r}")
         salt_period = _parse_uint(parts[1], "salt period")
         if salt_period < 1:
             raise FormatError("salt period must be >= 1")
-        lines = lines[1:]
-    values = tuple(_parse_uint(ln, "stream value") for ln in lines)
-    return CipherStream(values, salt_period)
+    body = memoryview(data)[header.end() if header else 0 :]
+    return CipherStream(_parse_values(body), salt_period)
+
+
+def _decode(raw: bytes) -> str:
+    return raw.decode("utf-8", "surrogatepass")
+
+
+def _any_of(buf: np.ndarray, chars: str) -> np.ndarray:
+    hit = np.zeros(len(buf), dtype=bool)
+    for c in chars.encode():
+        hit |= buf == c
+    return hit
+
+
+def _parse_values(body: memoryview) -> np.ndarray:
+    """Every value of a stream body, one token a line, checked and converted at once."""
+    # the blanks in front let every token end a full window; the final line
+    # break ends the last word inside the buffer
+    raw = b"".join((b" " * _WIDTH, body, b"\n"))
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    breaks = _any_of(buf, _LINE_BREAKS)
+    word = _any_of(buf, _BLANKS)
+    word |= breaks
+    np.logical_not(word, out=word)
+    # words and the gaps between them alternate, from a gap to a gap
+    edges = np.flatnonzero(word[1:] != word[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    if not len(starts):
+        return np.zeros(0, dtype=np.uint64)
+    lengths = ends - starts
+
+    # a fault is a position in a bad line; the earliest lies in the first one
+    faults = []
+    digit = buf - np.uint8(ord("0")) < 10  # the bytes of _TOKEN
+    if np.count_nonzero(digit) < lengths.sum():
+        faults.append(int((word & ~digit).argmax()))
+    del word, digit
+    # two words share a line when no line break lies between them
+    shared = ~np.logical_or.reduceat(breaks, ends)[:-1]
+    if shared.any():
+        faults.append(int(starts[shared.argmax() + 1]))
+    wide = np.flatnonzero(lengths >= _WIDTH)
+    if wide.size:
+        last = sliding_window_view(buf, _WIDTH)[ends[wide] - _WIDTH]
+        big = last.view(f"S{_WIDTH}").ravel() > _U64_DIGITS
+        big |= [raw[s : e - _WIDTH].strip(b"0") != b"" for s, e in zip(starts[wide], ends[wide])]
+        if big.any():
+            faults.append(int(starts[wide[big.argmax()]]))
+    if faults:
+        at = min(faults)
+        begin = max(raw.rfind(b, 0, at) for b in _LINE_BREAKS.encode()) + 1
+        end = min(i for b in _LINE_BREAKS.encode() if (i := raw.find(b, at)) >= 0)
+        _parse_uint(_decode(raw[begin:end]).strip(_BLANKS), "stream value")
+        raise AssertionError(f"line {raw[begin:end]!r} was refused but parses")
+
+    # the last `width` bytes of each word, read as digits; those in front of
+    # the word count as 0
+    width = min(int(lengths.max()), _WIDTH)
+    digits = sliding_window_view(buf, width)[ends - width]
+    digits -= np.uint8(ord("0"))
+    values = np.zeros(len(starts), dtype=np.uint64)
+    for col, digit in enumerate(digits.T):
+        values *= np.uint64(10)
+        values += digit * (lengths >= width - col)
+    return values

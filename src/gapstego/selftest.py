@@ -119,12 +119,12 @@ def _suite_codec_round_trip(rng: random.Random) -> int:
             payload = rng.randbytes(rng.randint(0, 256))
             stream = codec.encode_message(payload, index, rng)
             assert codec.decode_message(stream) == payload
-            assert all(codec.verify_stream(stream, table))
+            assert codec.verify_stream(stream, table).all()
             if pair is not None:
                 spec = codec.SaltSpec.from_generators(gens, *pair)
                 salted = codec.salt_stream(stream, spec, rng)
                 assert codec.decode_message(salted) == payload
-                assert codec.desalt_stream(salted).values == stream.values
+                assert np.array_equal(codec.desalt_stream(salted).values, stream.values)
             checks += 1
     return checks
 

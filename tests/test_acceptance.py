@@ -481,7 +481,7 @@ def test_criterion_12_salting_audit(viable_keys, telescopic_family):
         payload = rng.randbytes(64)
         stream = encode_message(payload, key.index, rng)
         back = desalt_stream(salt_stream(stream, key.salt, rng))
-        if back.values != stream.values or decode_message(back) != payload:
+        if not np.array_equal(back.values, stream.values) or decode_message(back) != payload:
             _report(12, "salting-audit", False, "desalt did not invert salt")
         identities += 1
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gapstego import (
     KeyFile,
@@ -182,8 +186,8 @@ class TestEncodeDecode:
         src = tmp_path / "p.bin"
         src.write_bytes(b"hi")
         assert main(["encode", "--key", str(viable_key), "--in", str(src), "--out", str(stream), "--seed", "1"]) == 0
-        values = parse_stream(stream.read_text()).values
-        tampered = values + (37 + 38, 2 * 37 + 38)  # both members, so both flagged
+        values = parse_stream(stream.read_text()).values.tolist()
+        tampered = values + [37 + 38, 2 * 37 + 38]  # both members, so both flagged
         stream.write_text("".join(f"{v}\n" for v in tampered))
         rc = main(["decode", "--key", str(viable_key), "--in", str(stream), "--out", str(tmp_path / "o.bin"), "--verify"])
         assert rc == 3
@@ -304,11 +308,71 @@ class TestAnalyze:
         assert "n_values 160" in out
         assert "class_histogram 11,10,10,10,10,10,10,10,10,10,10,10,10,10,10,9" in out
 
+    @pytest.mark.parametrize("modulus", ["0", "-1"])
+    def test_bad_modulus_fails_before_reading(self, tmp_path, capsys, modulus):
+        missing = tmp_path / "never-written.txt"
+        assert main(["analyze", "--in", str(missing), "--modulus", modulus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "modulus" in captured.err
+
     def test_short_stream_rejected(self, tmp_path, capsys):
         stream = tmp_path / "s.txt"
         stream.write_text("1\n2\n")
         assert main(["analyze", "--in", str(stream)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# stream texts: good, malformed and extreme values, with and without a salt header
+fuzz_values = st.one_of(
+    st.integers(0, 40),
+    st.sampled_from([568, 2**63 - 1, 2**63, 2**64 - 1]),
+    st.integers(0, 2**64 - 1),
+).map(str)
+fuzz_lines = st.one_of(
+    fuzz_values,
+    fuzz_values.map(lambda v: f" \t{v}\t "),
+    st.sampled_from(["", "+5", "1_0", "\u0663", "1 2", "salt", "salt 0", "x", str(2**64)]),
+    st.integers(-(2**70), 2**70).map(str),
+)
+fuzz_texts = st.tuples(
+    st.sampled_from(["", "salt 1\n", "salt 35\n", f"salt {2**64 - 1}\n", "salt -1\n"]),
+    st.one_of(st.lists(fuzz_lines, max_size=100), st.lists(fuzz_values, min_size=80, max_size=400)),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+).map(lambda t: t[0] + t[2].join(t[1]))
+fuzz_commands = st.one_of(
+    st.sampled_from([["decode"], ["decode", "--verify"], ["analyze"]]),
+    st.integers(-3, 70).map(lambda m: ["analyze", "--modulus", str(m)]),
+    st.sampled_from([2**64, 10**30]).map(lambda m: ["analyze", "--modulus", str(m)]),
+)
+
+
+class TestStreamReadersFuzz:
+    @pytest.fixture(scope="class")
+    def key(self, tmp_path_factory):
+        return write_key(tmp_path_factory.mktemp("fuzz"), README_GENS, seed=1, salt_pair=(3, 4))
+
+    @given(text=fuzz_texts, command=fuzz_commands)
+    @example(text="\n".join(["1", "2"] * 40), command=["analyze", "--modulus", "0"])
+    @example(text="\n".join([str(2**64 - 1)] * 80), command=["analyze", "--modulus", "16"])
+    @example(text=f"1\n{2**63}\n2\n{2**64 - 1}", command=["decode", "--verify"])
+    @example(text=f"salt {2**64 - 1}\n{2**64 - 2}\n3", command=["decode"])
+    @settings(max_examples=150)
+    def test_exit_codes_and_output(self, key, text, command):
+        stream = key.parent / "fuzz.txt"
+        stream.write_text(text, encoding="utf-8")
+        argv = [*command, "--in", str(stream)]
+        if command[0] == "decode":
+            argv += ["--key", str(key)]
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out.flush()
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert out.buffer.getvalue() == b""
+            assert err.getvalue()
 
 
 class TestSelftest:

@@ -18,7 +18,6 @@ from gapstego import (
     ValueExceedsPeriodError,
     build_gap_index,
     build_table,
-    decode_byte,
     decode_message,
     desalt_stream,
     encode_message,
@@ -125,21 +124,21 @@ class TestEncodeMessage:
         payload = bytes(range(256))
         stream = encode_message(payload, index3738, random.Random(1))
         nibbles = [n for byte in payload for n in (byte >> 4, byte & 0xF)]
-        assert [x % 16 for x in stream.values] == nibbles
+        assert [x % 16 for x in stream.values.tolist()] == nibbles
         assert not table3738.members(stream.values).any()
 
     def test_eventually_uses_every_gap(self, table3738, index3738):
         stream = encode_message(b"\x22" * 1000, index3738, random.Random(7))
-        assert set(stream.values) == set(classes_by_gap_list(table3738, 16)[2])
+        assert set(stream.values.tolist()) == set(classes_by_gap_list(table3738, 16)[2])
 
     def test_empty_payload(self, index3738):
         stream = encode_message(b"", index3738, random.Random(0))
-        assert stream.values == ()
+        assert np.array_equal(stream.values, ())
 
     def test_deterministic(self, index3738):
         a = encode_message(b"BONJOUR", index3738, random.Random(3))
         b = encode_message(b"BONJOUR", index3738, random.Random(3))
-        assert a.values == b.values
+        assert np.array_equal(a.values, b.values)
         assert len(a.values) == 14
 
     def test_range_checked(self, table3738, index3738, table57):
@@ -155,19 +154,32 @@ class TestEncodeMessage:
             encode_message(b"hi", idx, random.Random(0))
 
 
-class TestDecode:
-    def test_decode_byte(self):
-        assert decode_byte(17, 2) == 0x12
-        assert decode_byte(0, 0) == 0
-        assert decode_byte(31, 31) == 0xFF
-        # only residues matter
-        assert decode_byte(17 + 16 * 9, 2 + 16 * 4) == 0x12
+def decode_pair(n1, n2):
+    return decode_message(CipherStream((n1, n2)))
 
-    def test_decode_byte_guards(self):
+
+class TestDecode:
+    def test_decode_pairs(self):
+        assert decode_pair(17, 2) == b"\x12"
+        assert decode_pair(0, 0) == b"\x00"
+        assert decode_pair(31, 31) == b"\xff"
+        # only residues matter
+        assert decode_pair(17 + 16 * 9, 2 + 16 * 4) == b"\x12"
+        assert decode_pair(2**64 - 16 + 1, 2**63 + 2) == b"\x12"
+
+    def test_decode_guards(self):
         with pytest.raises(NegativeInputError):
-            decode_byte(-1, 2)
-        with pytest.raises(ValueError):
-            decode_byte(1, 2, modulus=8)
+            decode_pair(-1, 2)
+        with pytest.raises(NegativeInputError):
+            decode_message(CipherStream(np.array([-1, 2])))
+
+    def test_one_array_per_stream(self):
+        stream = CipherStream([3, 2**64 - 1])
+        assert stream.values.dtype == np.uint64
+        assert not stream.values.flags.writeable
+        assert stream == CipherStream(np.array([3, 2**64 - 1], dtype=np.uint64))
+        assert stream != CipherStream([3, 2**64 - 1], salt_period=35)
+        assert stream != CipherStream([3])
 
     def test_odd_stream_rejected(self):
         with pytest.raises(ValueError):
@@ -184,12 +196,12 @@ class TestDecode:
 class TestVerify:
     def test_all_gaps_for_encoder_output(self, table3738, index3738):
         stream = encode_message(b"attack at dawn", index3738, random.Random(5))
-        assert all(verify_stream(stream, table3738))
+        assert verify_stream(stream, table3738).all()
 
     def test_member_flagged(self, table57):
-        assert verify_stream(CipherStream((12,)), table57) == [False]
-        assert verify_stream(CipherStream((11,)), table57) == [True]
-        assert verify_stream(CipherStream(()), table57) == []
+        assert verify_stream(CipherStream((12,)), table57).tolist() == [False]
+        assert verify_stream(CipherStream((11,)), table57).tolist() == [True]
+        assert verify_stream(CipherStream(()), table57).tolist() == []
 
     def test_salted_refused(self, table57):
         with pytest.raises(ValueError):
@@ -206,16 +218,18 @@ class TestSalting:
         salted = salt_stream(stream, spec, rng)
         assert salted.salted
         assert salted.salt_period == spec.period
-        for before, after in zip(stream.values, salted.values):
+        for before, after in zip(stream.values.tolist(), salted.values.tolist()):
             k, r = divmod(after - before, spec.period)
             assert r == 0 and 1 <= k <= spec.k_max
-        assert desalt_stream(salted).values == stream.values
+        assert np.array_equal(desalt_stream(salted).values, stream.values)
         assert decode_message(salted) == b"covert"
 
     def test_value_at_period_refused(self):
         spec = SaltSpec(period=35)
         with pytest.raises(ValueExceedsPeriodError):
             salt_stream(CipherStream((35,)), spec, random.Random(0))
+        with pytest.raises(ValueExceedsPeriodError, match="^value 36 >= salt period 35;"):
+            salt_stream(CipherStream((1, 36, 2**64 - 1)), spec, random.Random(0))
 
     def test_double_salt_refused(self):
         spec = SaltSpec(period=35)
@@ -257,7 +271,7 @@ class TestSalting:
         spec = SaltSpec(period=period, k_max=k_max)
         stream = CipherStream(values)
         salted = salt_stream(stream, spec, random.Random(seed))
-        assert desalt_stream(salted).values == values
+        assert np.array_equal(desalt_stream(salted).values, values)
 
 
 class TestSaltAudit:

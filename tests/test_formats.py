@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stream_reference
 from gapstego import (
     CipherStream,
     FormatError,
@@ -66,6 +68,11 @@ class TestKeyFormat:
         with pytest.raises(FormatError):
             parse_key(text)
 
+    @pytest.mark.parametrize("token", ["+1_0", "+5", "1_0", "\u0663"])
+    def test_seed_token_is_ascii_digits(self, token):
+        with pytest.raises(FormatError, match="seed: expected a decimal integer"):
+            parse_key(f"frobkey/1\nmode telescopic\nseed {token}\n5\n7\n")
+
     def test_seed_u64_cap(self):
         big = 2**64
         with pytest.raises(FormatError):
@@ -115,3 +122,88 @@ class TestStreamFormat:
     def test_round_trip_property(self, values, period):
         stream = CipherStream(tuple(values), period)
         assert parse_stream(serialize_stream(stream)) == stream
+
+    def test_line_breaks_and_blanks(self):
+        text = "salt 35\r\n\t1 \r\r\n 2\t\n\n  \n3"
+        assert parse_stream(text) == CipherStream((1, 2, 3), salt_period=35)
+
+    def test_zero_padded_tokens(self):
+        text = f"{'0' * 30}\n{'0' * 10}{2**64 - 1}\n007\n"
+        assert parse_stream(text) == CipherStream((0, 2**64 - 1, 7))
+        with pytest.raises(FormatError, match=f"^stream value: {2**64} outside"):
+            parse_stream(f"{'0' * 10}{2**64}\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "+5",  # sign
+            "-2",
+            "1_0",  # digit grouping
+            "\u0663",  # ARABIC-INDIC DIGIT THREE
+            "\uff15",  # FULLWIDTH DIGIT FIVE
+            "\u00b2",  # SUPERSCRIPT TWO
+            "1 2",  # two tokens on a line
+            "1\x0c2",  # form feed no longer ends a line
+            "1\u20282",  # nor does LINE SEPARATOR
+            "0x1f",
+            "\ud800",  # lone surrogate
+        ],
+    )
+    def test_token_is_ascii_digits(self, line):
+        # the first bad line is named, whatever follows it
+        text = f"7\n\t{line} \n-1\nx\n"
+        with pytest.raises(FormatError) as exc:
+            parse_stream(text)
+        assert str(exc.value) == f"stream value: expected a decimal integer, got {line!r}"
+
+
+# stream texts from pieces that make good and bad tokens, line breaks and headers
+stream_pieces = st.sampled_from(
+    list("0123456789 \t\r\n+_-")
+    + ["salt ", "salt 1\n", str(2**64 - 1), str(2**64), "\n\n", "\r\n"]
+)
+stream_texts = st.lists(stream_pieces, max_size=40).map("".join)
+
+
+class TestStreamReference:
+    @given(stream_texts)
+    @example("salt 5\n1\n")
+    @example(" salt\t5 \r\n\r 1 \n")
+    @example(f"{2**64 - 1}\n0000{2**64 - 1}")
+    @example(f"1\n{2**64}\n+1")
+    @example("1\n2 3\n+1")
+    @example("salt 0\n")
+    @example("salty 5\n1")
+    @example("\n\n 5 salt")
+    @settings(max_examples=500)
+    def test_parse_matches_reference(self, text):
+        try:
+            values, period = stream_reference.parse_stream(text)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                parse_stream(text)
+            assert str(got.value) == str(exc)
+            return
+        stream = parse_stream(text)
+        assert stream.values.dtype == np.uint64
+        assert stream.values.tolist() == values
+        assert stream.salt_period == period
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 9, 10, 10**19 - 1, 10**19, 2**64 - 1]),
+                st.integers(0, 2**64 - 1),
+            ),
+            max_size=30,
+        ),
+        st.one_of(st.none(), st.integers(1, 2**64 - 1)),
+    )
+    @example([], None)
+    @example([], 35)
+    @example([0, 9, 10, 10**19 - 1, 10**19, 2**64 - 1], None)
+    def test_serialize_matches_str(self, values, period):
+        stream = CipherStream(values, period)
+        lines = ([f"salt {period}"] if period else []) + list(map(str, stream.values.tolist()))
+        expected = "\n".join(lines) + "\n" if lines else ""
+        assert serialize_stream(stream) == expected
