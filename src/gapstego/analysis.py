@@ -12,15 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .codec import CHUNK_VALUES, CipherStream
 from .errors import InsufficientSamplesError, WindowExceedsRangeError
 from .semigroup import SemigroupTable
-
-if TYPE_CHECKING:
-    from .codec import CipherStream
 
 SIGNIFICANCE = 0.05
 
@@ -72,15 +70,18 @@ def _pearson(values: "np.ndarray | Sequence[int]", modulus: int) -> tuple[np.nda
         )
     critical = chi2_critical(modulus - 1)
     # stream values run up to 2**64 - 1, past int64, so reduce them as uint64
-    residues = np.asarray(values, dtype=np.uint64) % np.uint64(modulus)
-    counts = np.bincount(residues.view(np.int64), minlength=modulus)
+    values = np.asarray(values, dtype=np.uint64)
+    counts = np.zeros(modulus, dtype=np.int64)
+    for i in range(0, n, CHUNK_VALUES):
+        residues = values[i : i + CHUNK_VALUES] % np.uint64(modulus)
+        counts += np.bincount(residues.view(np.int64), minlength=modulus)
     expected = n / modulus
     statistic = float(((counts - expected) ** 2 / expected).sum())
     return counts, statistic, statistic > critical
 
 
 def chi_square_uniformity(
-    stream: "CipherStream | Sequence[int]", modulus: int
+    stream: CipherStream | Sequence[int], modulus: int
 ) -> tuple[float, bool]:
     """Pearson test of the stream residues against the uniform law.
 
@@ -147,7 +148,7 @@ class AnalysisReport:
 
 
 def build_report(
-    stream: "CipherStream | Sequence[int]",
+    stream: CipherStream | Sequence[int],
     modulus: int = 16,
     table: SemigroupTable | None = None,
     *,

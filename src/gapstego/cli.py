@@ -10,6 +10,7 @@ import argparse
 import os
 import random
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +27,14 @@ from .codec import (
     verify_stream,
 )
 from .errors import GapstegoError
-from .formats import KeyFile, parse_key, parse_stream, serialize_key, serialize_stream
+from .formats import (
+    CHUNK_BYTES,
+    KeyFile,
+    parse_key,
+    parse_stream,
+    serialize_key,
+    serialize_stream,
+)
 from .formulas import davison_check, wilf_check
 from .keygen import (
     DEFAULT_MODULUS,
@@ -55,10 +63,10 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    # a slice at a time, so that no encoded copy of a whole stream is made
+    with open(path, "w", encoding="utf-8") if path != "-" else nullcontext(sys.stdout) as out:
+        for i in range(0, len(text), CHUNK_BYTES):
+            out.write(text[i : i + CHUNK_BYTES])
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -112,12 +120,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"telescopic {_bool_word(is_telescopic(key.generators))}")
     print(f"minimal_generators {','.join(str(g) for g in minimal)}")
 
-    apery = [str(int(v)) for v in table.min_rep]
-    if len(apery) > _APERY_PRINT_LIMIT:
-        shown = ",".join(apery[:_APERY_PRINT_LIMIT])
-        print(f"apery {shown} (+{len(apery) - _APERY_PRINT_LIMIT} more)")
-    else:
-        print(f"apery {','.join(apery)}")
+    apery = ",".join(map(str, table.min_rep[:_APERY_PRINT_LIMIT].tolist()))
+    more = len(table.min_rep) - _APERY_PRINT_LIMIT
+    print(f"apery {apery}" + (f" (+{more} more)" if more > 0 else ""))
 
     print(f"class_counts {','.join(str(c) for c in counts.per_class_gap_count)}")
     print(f"viable {_bool_word(counts.viable)}")
@@ -152,7 +157,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     key = _load_key(args.key)
-    stream = parse_stream(_read_text(args.input))
+    stream = parse_stream(_read_bytes(args.input))
     if stream.salted:
         stream = desalt_stream(stream)
     if args.verify:
@@ -173,7 +178,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {args.modulus}")
-    stream = parse_stream(_read_text(args.input))
+    stream = parse_stream(_read_bytes(args.input))
     table = build_table(_load_key(args.key).generators) if args.key else None
     report = build_report(stream, modulus=args.modulus, table=table)
     print(f"n_values {report.n_values}")

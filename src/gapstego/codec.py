@@ -7,8 +7,9 @@ v as a plain residue and never needs the gap list itself.  Checking that
 received values really are gaps screens for corruption, not forgery.
 
 A stream is one read-only uint64 array, and each step on it (decode,
-verify, salt, de-salt) is a whole-array operation; verify_stream returns
-a boolean array, True where a value is a gap.
+verify, salt, de-salt) is an array operation; verify_stream returns a
+boolean array, True where a value is a gap, and fills it CHUNK_VALUES
+values at a time, so its scratch does not grow with the stream.
 
 Optional salting adds k * L to every value for a per-value random
 k in [1, k_max], where L is the lcm of two chosen generators.  Adding a
@@ -37,6 +38,8 @@ from .semigroup import GeneratingSet, SemigroupTable, class_gaps
 
 DEFAULT_MODULUS = 16
 DEFAULT_K_MAX = 64
+# Values a step with per-value scratch takes at a time: 256 KiB of uint64.
+CHUNK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +176,9 @@ def decode_message(stream: CipherStream) -> bytes:
     vals = stream.values
     if len(vals) % 2:
         raise ValueError(f"stream length {len(vals)} is odd, expected value pairs")
-    nibbles = (vals % np.uint64(DEFAULT_MODULUS)).astype(np.uint8)
+    # the low byte of a value keeps its residue mod 16
+    nibbles = vals.astype(np.uint8)
+    nibbles &= np.uint8(DEFAULT_MODULUS - 1)
     return ((nibbles[0::2] << 4) | nibbles[1::2]).tobytes()
 
 
@@ -185,10 +190,15 @@ def verify_stream(stream: CipherStream, table: SemigroupTable) -> np.ndarray:
     """
     if stream.salted:
         raise ValueError("verify runs on de-salted streams; call desalt_stream first")
+    values = stream.values
+    gaps = np.empty(len(values), dtype=bool)
     # values run up to 2**64 - 1; every value above F is a member, so clamp
     # to F + 1 before the int64 table lookup
-    clamped = np.minimum(stream.values, np.uint64(table.frobenius + 1))
-    return ~table.members(clamped.view(np.int64))
+    ceiling = np.uint64(table.frobenius + 1)
+    for i in range(0, len(values), CHUNK_VALUES):
+        clamped = np.minimum(values[i : i + CHUNK_VALUES], ceiling)
+        np.logical_not(table.members(clamped.view(np.int64)), out=gaps[i : i + CHUNK_VALUES])
+    return gaps
 
 
 def salt_stream(stream: CipherStream, spec: SaltSpec, rng: random.Random) -> CipherStream:
@@ -203,9 +213,11 @@ def salt_stream(stream: CipherStream, spec: SaltSpec, rng: random.Random) -> Cip
             f"value {v} >= salt period {spec.period}; salting would be ambiguous"
         )
     gen = np.random.default_rng(rng.getrandbits(128))
-    k = gen.integers(1, spec.k_max, size=len(stream), dtype=np.uint64, endpoint=True)
+    salted = gen.integers(1, spec.k_max, size=len(stream), dtype=np.uint64, endpoint=True)
     # SaltSpec keeps (period - 1) + k_max * period within 2**64 - 1
-    return CipherStream(stream.values + k * period, spec.period)
+    salted *= period
+    salted += stream.values
+    return CipherStream(salted, spec.period)
 
 
 def desalt_stream(stream: CipherStream) -> CipherStream:

@@ -1,7 +1,7 @@
 """Key and stream file formats.
 
-Both are line-oriented UTF-8 text so files diff cleanly and can be read
-or written from any language.
+Both are line-oriented text so files diff cleanly and can be read or
+written from any language; a key is read as UTF-8, a stream as bytes.
 
 Key file::
 
@@ -20,8 +20,14 @@ A number is a token of ASCII digits, [0-9]+, and at most 2**64 - 1.
 Stream lines end in \n, \r\n or \r; spaces and tabs around a token
 and blank lines are allowed.  Parsing is strict: unknown lines, bad
 numbers or out-of-range values raise FormatError rather than being
-skipped.  A parsed stream is one uint64 array, read and written a whole
-buffer at a time.
+skipped, and the first bad line in the file is the one named.
+
+A stream is read and written as ASCII bytes: parse_stream takes
+CHUNK_BYTES of whole lines at a time, serialize_stream CHUNK_VALUES
+values.  So parse_stream holds its input, the uint64 array of values
+(8 bytes a value) and a few chunks of scratch; serialize_stream holds
+the values, the text it returns, the byte buffer that text is decoded
+from and a few chunks.
 """
 
 from __future__ import annotations
@@ -32,12 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codec import CipherStream
+from .codec import CHUNK_VALUES, CipherStream
 from .errors import FormatError, GapstegoError
 from .keygen import MODES
 from .semigroup import GeneratingSet, validate_generators
 
 KEY_MAGIC = "frobkey/1"
+# Stream text is parsed, and written out by the CLI, this many bytes at a time.
+CHUNK_BYTES = 1 << 18
 _U64_MAX = 2**64 - 1
 _TOKEN = re.compile("[0-9]+")
 _BLANKS = " \t"
@@ -124,13 +132,35 @@ def parse_key(text: str) -> KeyFile:
 
 
 def serialize_stream(stream: CipherStream) -> str:
+    """Stream text: the salt header, if salted, then one value a line."""
     header = f"salt {stream.salt_period}\n" if stream.salted else ""
     values = stream.values
-    if not len(values):
-        return header
+    if len(values) <= CHUNK_VALUES:
+        return header + _format_values(values).tobytes().decode("ascii")
+    starts = range(0, len(values), CHUNK_VALUES)
+    # every value takes its digits and a line break
+    size = len(header) + len(values)
+    size += sum(int(_digit_counts(values[i : i + CHUNK_VALUES]).sum()) for i in starts)
+    text = bytearray(size)
+    text[: len(header)] = header.encode()
+    out = np.frombuffer(text, dtype=np.uint8)
+    at = len(header)
+    for i in starts:
+        rows = _format_values(values[i : i + CHUNK_VALUES])
+        out[at : at + len(rows)] = rows
+        at += len(rows)
+    return text.decode("ascii")
+
+
+def _digit_counts(values: np.ndarray) -> np.ndarray:
+    return np.searchsorted(_POW10, values, side="right") + 1
+
+
+def _format_values(values: np.ndarray) -> np.ndarray:
+    """The ASCII lines of some values, each its digits and a line break."""
     # one row per value: its digits right-aligned, then a line break
-    lengths = np.searchsorted(_POW10, values, side="right") + 1
-    width = int(lengths.max())
+    lengths = _digit_counts(values)
+    width = int(lengths.max(initial=0))
     rows = np.empty((len(values), width + 1), dtype=np.uint8)
     rest, digit = values.copy(), np.empty_like(values)
     for col in range(width - 1, -1, -1):
@@ -139,27 +169,75 @@ def serialize_stream(stream: CipherStream) -> str:
     rows += np.uint8(ord("0"))
     rows[:, width] = ord("\n")
     keep = np.arange(width + 1, dtype=np.uint8) >= (width - lengths).astype(np.uint8)[:, None]
-    return header + rows[keep].tobytes().decode("ascii")
+    return rows[keep]
 
 
-def parse_stream(text: str) -> CipherStream:
-    data = text.encode("utf-8", "surrogatepass")
+def parse_stream(data: bytes | str) -> CipherStream:
+    """Parse stream text, given as bytes; a str is encoded as UTF-8 first."""
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
     salt_period = None
     header = _HEADER.match(data)
     if header:
-        line = _decode(header.group()).strip(_BLANKS + _LINE_BREAKS)
+        raw = header.group().strip(f"{_BLANKS}{_LINE_BREAKS}".encode())
+        line = _line_text(raw, "salt header")
         parts = re.split(f"[{_BLANKS}]+", line)
         if len(parts) != 2 or parts[0] != "salt":
             raise FormatError(f"salt header must be 'salt <L>', got {line!r}")
         salt_period = _parse_uint(parts[1], "salt period")
         if salt_period < 1:
             raise FormatError("salt period must be >= 1")
-    body = memoryview(data)[header.end() if header else 0 :]
-    return CipherStream(_parse_values(body), salt_period)
+    return CipherStream(_parse_body(data, header.end() if header else 0), salt_period)
 
 
-def _decode(raw: bytes) -> str:
-    return raw.decode("utf-8", "surrogatepass")
+def _line_text(raw: bytes, what: str) -> str:
+    """One line of a stream as text; FormatError naming it when it is not UTF-8."""
+    try:
+        return raw.decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError:
+        shown = raw.decode("utf-8", "backslashreplace")
+        raise FormatError(f"{what}: not UTF-8 text, got '{shown}'") from None
+
+
+def _parse_body(data: bytes, start: int) -> np.ndarray:
+    """Every value of the stream body data[start:], a chunk of whole lines at a time."""
+    view = memoryview(data)
+    if len(data) - start <= CHUNK_BYTES:
+        return _parse_values(view[start:])
+    values = np.empty(_line_bound(np.frombuffer(data, dtype=np.uint8)[start:]), dtype=np.uint64)
+    n = 0
+    while start < len(data):
+        end = _chunk_end(data, start)
+        chunk = _parse_values(view[start:end])
+        values[n : n + len(chunk)] = chunk
+        n += len(chunk)
+        start = end
+    return values[:n]
+
+
+def _line_bound(buf: np.ndarray) -> int:
+    """At least the number of lines in buf: one more than its line breaks."""
+    lines = 1
+    for i in range(0, len(buf), CHUNK_BYTES):
+        chunk = buf[i : i + CHUNK_BYTES]
+        cr = chunk == ord("\r")
+        lines += np.count_nonzero(chunk == ord("\n")) + np.count_nonzero(cr)
+        # \r\n is one line break (counted twice where a chunk ends between the two)
+        lines -= np.count_nonzero(chunk[1:][cr[:-1]] == ord("\n"))
+    return lines
+
+
+def _chunk_end(data: bytes, start: int) -> int:
+    """Where the chunk from start ends: after its last line break, or after the
+    first one when a line is longer than a chunk."""
+    stop = start + CHUNK_BYTES
+    if stop >= len(data):
+        return len(data)
+    cut = max(data.rfind(b, start, stop) for b in _LINE_BREAKS.encode())
+    if cut < 0:
+        after = [i for b in _LINE_BREAKS.encode() if (i := data.find(b, stop)) >= 0]
+        cut = min(after, default=len(data) - 1)
+    return cut + 1
 
 
 def _any_of(buf: np.ndarray, chars: str) -> np.ndarray:
@@ -170,7 +248,7 @@ def _any_of(buf: np.ndarray, chars: str) -> np.ndarray:
 
 
 def _parse_values(body: memoryview) -> np.ndarray:
-    """Every value of a stream body, one token a line, checked and converted at once."""
+    """Every value of some whole lines of a stream body, checked and converted at once."""
     # the blanks in front let every token end a full window; the final line
     # break ends the last word inside the buffer
     raw = b"".join((b" " * _WIDTH, body, b"\n"))
@@ -207,8 +285,9 @@ def _parse_values(body: memoryview) -> np.ndarray:
         at = min(faults)
         begin = max(raw.rfind(b, 0, at) for b in _LINE_BREAKS.encode()) + 1
         end = min(i for b in _LINE_BREAKS.encode() if (i := raw.find(b, at)) >= 0)
-        _parse_uint(_decode(raw[begin:end]).strip(_BLANKS), "stream value")
-        raise AssertionError(f"line {raw[begin:end]!r} was refused but parses")
+        line = raw[begin:end].strip(_BLANKS.encode())
+        _parse_uint(_line_text(line, "stream value"), "stream value")
+        raise AssertionError(f"line {line!r} was refused but parses")
 
     # the last `width` bytes of each word, read as digits; those in front of
     # the word count as 0

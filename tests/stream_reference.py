@@ -1,7 +1,7 @@
 """Reference stream parser, an oracle for formats.parse_stream.
 
 Line by line, one int() per value, the way the stream format was read
-before parse_stream worked on the whole buffer.  It keeps its own copy
+before parse_stream worked on arrays of lines.  It keeps its own copy
 of the grammar (a token is [0-9]+ and at most 2**64 - 1; lines end in
 \\n, \\r\\n or \\r; spaces and tabs around a line are dropped), so each
 parser referees the other, errors and their messages included.

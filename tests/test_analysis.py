@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gapstego import (
     CipherStream,
+    analysis,
     InsufficientSamplesError,
     WindowExceedsRangeError,
     build_report,
@@ -108,6 +110,14 @@ class TestChiSquare:
         values = tuple(16 + v for v in range(16)) * 5
         stat, _ = chi_square_uniformity(CipherStream(values), 16)
         assert stat == 0.0
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=35, max_size=60), st.integers(2, 7))
+    def test_counts_in_chunks(self, values, modulus):
+        with mock.patch.object(analysis, "CHUNK_VALUES", 4):
+            report = build_report(CipherStream(values), modulus)
+        assert report.class_histogram == tuple(
+            sum(v % modulus == c for v in values) for c in range(modulus)
+        )
 
 
 class TestWindows:

@@ -205,6 +205,16 @@ class TestEncodeDecode:
         assert captured.out == ""
         assert "2 stream value(s) are not gaps (positions 1,3)" in captured.err
 
+    @pytest.mark.parametrize("command", [["decode", "--verify"], ["analyze"]])
+    def test_non_utf8_line_named(self, tmp_path, viable_key, capsys, command):
+        stream = tmp_path / "stream.txt"
+        stream.write_bytes(b"".join(b"%d\n" % v for v in range(100)) + b"3\xff4\r\n\xfe\n")
+        rc = main([*command, "--key", str(viable_key), "--in", str(stream)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: stream value: not UTF-8 text, got '3\\xff4'\n"
+
     def test_odd_stream_is_input_error(self, tmp_path, viable_key, capsys):
         stream = tmp_path / "odd.txt"
         stream.write_text("1\n2\n3\n")
@@ -334,11 +344,20 @@ fuzz_lines = st.one_of(
     fuzz_values.map(lambda v: f" \t{v}\t "),
     st.sampled_from(["", "+5", "1_0", "\u0663", "1 2", "salt", "salt 0", "x", str(2**64)]),
     st.integers(-(2**70), 2**70).map(str),
+).map(str.encode)
+# raw bytes that are not UTF-8 text, or not printable
+fuzz_raw_lines = st.one_of(
+    st.sampled_from([b"\x00", b"\xff", b"7\xff", b"\xff\xfe1", b"\xed\xa0\x80", b"1\x002"]),
+    st.binary(max_size=6),
 )
-fuzz_texts = st.tuples(
-    st.sampled_from(["", "salt 1\n", "salt 35\n", f"salt {2**64 - 1}\n", "salt -1\n"]),
-    st.one_of(st.lists(fuzz_lines, max_size=100), st.lists(fuzz_values, min_size=80, max_size=400)),
-    st.sampled_from(["\n", "\r\n", "\r"]),
+fuzz_streams = st.tuples(
+    st.sampled_from([b"", b"salt 1\n", b"salt 35\n", f"salt {2**64 - 1}\n".encode(), b"salt -1\n",
+                     b"salt \xff\n"]),
+    st.one_of(
+        st.lists(fuzz_lines | fuzz_raw_lines, max_size=100),
+        st.lists(fuzz_values.map(str.encode), min_size=80, max_size=400),
+    ),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]),
 ).map(lambda t: t[0] + t[2].join(t[1]))
 fuzz_commands = st.one_of(
     st.sampled_from([["decode"], ["decode", "--verify"], ["analyze"]]),
@@ -352,15 +371,16 @@ class TestStreamReadersFuzz:
     def key(self, tmp_path_factory):
         return write_key(tmp_path_factory.mktemp("fuzz"), README_GENS, seed=1, salt_pair=(3, 4))
 
-    @given(text=fuzz_texts, command=fuzz_commands)
-    @example(text="\n".join(["1", "2"] * 40), command=["analyze", "--modulus", "0"])
-    @example(text="\n".join([str(2**64 - 1)] * 80), command=["analyze", "--modulus", "16"])
-    @example(text=f"1\n{2**63}\n2\n{2**64 - 1}", command=["decode", "--verify"])
-    @example(text=f"salt {2**64 - 1}\n{2**64 - 2}\n3", command=["decode"])
+    @given(data=fuzz_streams, command=fuzz_commands)
+    @example(data=b"\n".join([b"1", b"2"] * 40), command=["analyze", "--modulus", "0"])
+    @example(data=b"\n".join([str(2**64 - 1).encode()] * 80), command=["analyze", "--modulus", "16"])
+    @example(data=f"1\n{2**63}\n2\n{2**64 - 1}".encode(), command=["decode", "--verify"])
+    @example(data=f"salt {2**64 - 1}\n{2**64 - 2}\n3".encode(), command=["decode"])
+    @example(data=b"1\r\n2\r\n\x00\r\n\xff", command=["decode"])
     @settings(max_examples=150)
-    def test_exit_codes_and_output(self, key, text, command):
+    def test_exit_codes_and_output(self, key, data, command):
         stream = key.parent / "fuzz.txt"
-        stream.write_text(text, encoding="utf-8")
+        stream.write_bytes(data)
         argv = [*command, "--in", str(stream)]
         if command[0] == "decode":
             argv += ["--key", str(key)]

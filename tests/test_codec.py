@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gapstego import (
     CipherStream,
+    codec,
     EmptyClassError,
     MissingSaltPeriodError,
     NegativeInputError,
@@ -206,6 +208,12 @@ class TestVerify:
     def test_salted_refused(self, table57):
         with pytest.raises(ValueError):
             verify_stream(CipherStream((1, 2), salt_period=35), table57)
+
+    @given(st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 30), max_size=40))
+    def test_chunks_agree_with_membership(self, table57, values):
+        with mock.patch.object(codec, "CHUNK_VALUES", 3):
+            got = verify_stream(CipherStream(values), table57).tolist()
+        assert got == [not table57.is_member(v) for v in values]
 
 
 class TestSalting:

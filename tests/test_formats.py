@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import random
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +15,18 @@ from gapstego import (
     CipherStream,
     FormatError,
     KeyFile,
+    build_gap_index,
+    build_table,
+    encode_message,
+    formats,
     parse_key,
     parse_stream,
     serialize_key,
     serialize_stream,
     validate_generators,
+    verify_stream,
 )
+from gapstego.codec import CHUNK_VALUES
 
 
 def key_fixture(salt_pair=None):
@@ -177,17 +188,7 @@ class TestStreamReference:
     @example("\n\n 5 salt")
     @settings(max_examples=500)
     def test_parse_matches_reference(self, text):
-        try:
-            values, period = stream_reference.parse_stream(text)
-        except FormatError as exc:
-            with pytest.raises(FormatError) as got:
-                parse_stream(text)
-            assert str(got.value) == str(exc)
-            return
-        stream = parse_stream(text)
-        assert stream.values.dtype == np.uint64
-        assert stream.values.tolist() == values
-        assert stream.salt_period == period
+        check_parse(text)
 
     @given(
         st.lists(
@@ -203,7 +204,134 @@ class TestStreamReference:
     @example([], 35)
     @example([0, 9, 10, 10**19 - 1, 10**19, 2**64 - 1], None)
     def test_serialize_matches_str(self, values, period):
-        stream = CipherStream(values, period)
-        lines = ([f"salt {period}"] if period else []) + list(map(str, stream.values.tolist()))
-        expected = "\n".join(lines) + "\n" if lines else ""
-        assert serialize_stream(stream) == expected
+        check_serialize(values, period)
+
+
+def check_parse(text):
+    """parse_stream on text, and on its bytes, gives the reference's values and
+    salt period, or its FormatError message."""
+    try:
+        values, period = stream_reference.parse_stream(text)
+    except FormatError as exc:
+        for data in (text, text.encode("utf-8", "surrogatepass")):
+            with pytest.raises(FormatError) as got:
+                parse_stream(data)
+            assert str(got.value) == str(exc)
+        return
+    for data in (text, text.encode("utf-8", "surrogatepass")):
+        stream = parse_stream(data)
+        assert stream.values.dtype == np.uint64
+        assert stream.values.tolist() == values
+        assert stream.salt_period == period
+
+
+def check_serialize(values, period):
+    """serialize_stream writes str() of each value a line, after the header."""
+    stream = CipherStream(values, period)
+    lines = ([f"salt {period}"] if period else []) + list(map(str, stream.values.tolist()))
+    expected = "\n".join(lines) + "\n" if lines else ""
+    assert serialize_stream(stream) == expected
+    assert parse_stream(expected) == stream
+
+
+@contextlib.contextmanager
+def chunks(size):
+    """Parse streams `size` bytes and format them `size` values at a time."""
+    with mock.patch.object(formats, "CHUNK_BYTES", size):
+        with mock.patch.object(formats, "CHUNK_VALUES", size):
+            yield
+
+
+chunk_sizes = st.sampled_from([1, 2, 3, 5, 8])
+
+
+class TestStreamChunks:
+    """Streams cut into chunks of a few bytes, refereed by the reference parser."""
+
+    @given(stream_texts, chunk_sizes)
+    @example("12\n345\n6\n", 3)  # tokens that end at a chunk boundary
+    @example("1234\n56", 4)
+    @example("1\r\n2\r\n34\r\n5\r6", 2)  # \r and \n in different chunks
+    @example("1\r\n2\r\n34\r\n5\r6", 3)
+    @example(f"salt 7\n{'0' * 30}{2**64 - 1}\n{'0' * 9}8\n9", 4)  # lines longer than a chunk
+    @example(f"{'0' * 30}{2**64}\n", 4)
+    @example("1\n2\n3\n4\n5 6\n+7\n", 2)  # the first fault lies in a later chunk
+    @example("1\n22\n333\n4444\n\t+5\n-6", 3)
+    @settings(max_examples=300)
+    def test_parse_matches_reference(self, text, chunk):
+        with chunks(chunk):
+            check_parse(text)
+
+    @given(
+        st.lists(st.integers(0, 2**64 - 1), max_size=30),
+        st.one_of(st.none(), st.integers(1, 2**64 - 1)),
+        chunk_sizes,
+    )
+    @example([], None, 1)
+    @example([0, 9, 10, 10**19 - 1, 10**19, 2**64 - 1], 35, 2)
+    def test_round_trip_property(self, values, period, chunk):
+        with chunks(chunk):
+            check_serialize(values, period)
+
+    def test_line_longer_than_chunk_taken_whole(self):
+        text = f"{'0' * 100}7\n8\n".encode()
+        with chunks(4):
+            assert formats._chunk_end(text, 0) == 102
+            assert parse_stream(text) == CipherStream((7, 8))
+
+    @pytest.mark.parametrize("data", [b"1\n2\n3\xff4\n5\n", b"1\n2\n\t3\xff4 \r\n\xff\n"])
+    @pytest.mark.parametrize("chunk", [2, formats.CHUNK_BYTES])
+    def test_non_utf8_line_named(self, data, chunk):
+        with chunks(chunk), pytest.raises(FormatError) as exc:
+            parse_stream(data)
+        assert str(exc.value) == "stream value: not UTF-8 text, got '3\\xff4'"
+
+    def test_non_utf8_header_named(self):
+        with pytest.raises(FormatError, match=r"^salt header: not UTF-8 text, got 'salt 3\\xff'$"):
+            parse_stream(b"salt 3\xff\n1\n")
+
+
+class TestStreamMemory:
+    """Peak traced memory of the stream layer on about 256K values.
+
+    numpy reports its buffers to tracemalloc, so a whole-stream
+    temporary (a copy of the text, a per-value int64 array or digit
+    matrix) shows here: each peak is what the call returns or takes as
+    its input, plus a few chunks of scratch.
+    """
+
+    # a few chunks: 3 MiB is twelve of 256 KiB, while whole-buffer scratch
+    # for this stream runs to 15-20 MB
+    SCRATCH = 3 << 20
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return build_table(validate_generators((568, 3692, 4084, 4314, 4483)))
+
+    @pytest.fixture(scope="class")
+    def stream(self, table):
+        payload = random.Random(1).randbytes(1 << 17)
+        return encode_message(payload, build_gap_index(table), random.Random(2))
+
+    @staticmethod
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_parse(self, stream):
+        data = serialize_stream(stream).encode()
+        # the values, 8 bytes each, and a few chunks
+        assert self.peak(parse_stream, data) < 8 * len(stream) + self.SCRATCH
+
+    def test_serialize(self, stream):
+        size = len(serialize_stream(stream))
+        # the returned text and the byte buffer it is decoded from
+        assert self.peak(serialize_stream, stream) < 2 * size + self.SCRATCH
+
+    def test_verify(self, stream, table):
+        # one bool a value
+        assert self.peak(verify_stream, stream, table) < len(stream) + self.SCRATCH
