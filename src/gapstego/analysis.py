@@ -61,27 +61,56 @@ def residue_histogram(table: SemigroupTable, modulus: int) -> np.ndarray:
     return np.array([table.class_counts(modulus, v).sum() for v in range(modulus)])
 
 
-def _pearson(values: "np.ndarray | Sequence[int]", modulus: int) -> tuple[np.ndarray, float, bool]:
-    """Class counts, Pearson statistic and verdict; the modulus is checked before counting."""
-    n = len(values)
+@dataclass
+class ResidueTally:
+    """Stream values counted per residue class mod `modulus`, added a chunk at a time.
+
+    Only a modulus the chi-square table covers is counted per class; for
+    any other, counts stays None, as no test can be made.
+    """
+
+    modulus: int
+    n_values: int = 0
+    counts: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if 1 <= self.modulus - 1 <= len(_CHI2_CRIT_05):
+            self.counts = np.zeros(self.modulus, dtype=np.int64)
+
+    def add(self, values: "np.ndarray | Sequence[int]") -> None:
+        # stream values run up to 2**64 - 1, past int64, so reduce them as uint64
+        values = np.asarray(values, dtype=np.uint64)
+        self.n_values += len(values)
+        if self.counts is None:
+            return
+        for i in range(0, len(values), CHUNK_VALUES):
+            residues = values[i : i + CHUNK_VALUES] % np.uint64(self.modulus)
+            self.counts += np.bincount(residues.view(np.int64), minlength=self.modulus)
+
+
+def _pearson(
+    stream: "CipherStream | Sequence[int] | ResidueTally", modulus: int
+) -> tuple[ResidueTally, float, bool]:
+    """The tally, Pearson statistic and verdict; the modulus is checked before the statistic."""
+    tally = stream
+    if not isinstance(tally, ResidueTally):
+        tally = ResidueTally(modulus)
+        tally.add(getattr(stream, "values", stream))
+    elif tally.modulus != modulus:
+        raise ValueError(f"values were counted mod {tally.modulus}, not mod {modulus}")
+    n = tally.n_values
     if n < 5 * modulus:
         raise InsufficientSamplesError(
             f"need at least {5 * modulus} values for modulus {modulus}, got {n}"
         )
     critical = chi2_critical(modulus - 1)
-    # stream values run up to 2**64 - 1, past int64, so reduce them as uint64
-    values = np.asarray(values, dtype=np.uint64)
-    counts = np.zeros(modulus, dtype=np.int64)
-    for i in range(0, n, CHUNK_VALUES):
-        residues = values[i : i + CHUNK_VALUES] % np.uint64(modulus)
-        counts += np.bincount(residues.view(np.int64), minlength=modulus)
     expected = n / modulus
-    statistic = float(((counts - expected) ** 2 / expected).sum())
-    return counts, statistic, statistic > critical
+    statistic = float(((tally.counts - expected) ** 2 / expected).sum())
+    return tally, statistic, statistic > critical
 
 
 def chi_square_uniformity(
-    stream: CipherStream | Sequence[int], modulus: int
+    stream: CipherStream | Sequence[int] | ResidueTally, modulus: int
 ) -> tuple[float, bool]:
     """Pearson test of the stream residues against the uniform law.
 
@@ -89,7 +118,7 @@ def chi_square_uniformity(
     hypothesis fails at the 5% level.  Needs at least 5 * modulus values
     so the usual expected-count rule of thumb holds.
     """
-    _, statistic, reject = _pearson(getattr(stream, "values", stream), modulus)
+    _, statistic, reject = _pearson(stream, modulus)
     return statistic, reject
 
 
@@ -148,7 +177,7 @@ class AnalysisReport:
 
 
 def build_report(
-    stream: CipherStream | Sequence[int],
+    stream: CipherStream | Sequence[int] | ResidueTally,
     modulus: int = 16,
     table: SemigroupTable | None = None,
     *,
@@ -156,9 +185,12 @@ def build_report(
     window_trials: int = 8,
     seed: int = 0,
 ) -> AnalysisReport:
-    """Run every screen that applies and bundle the outcomes."""
-    values = getattr(stream, "values", stream)
-    counts, statistic, reject = _pearson(values, modulus)
+    """Run every screen that applies and bundle the outcomes.
+
+    The stream may be given as its tally mod `modulus`, counted a chunk
+    at a time.
+    """
+    tally, statistic, reject = _pearson(stream, modulus)
     density = None
     fractions: tuple[Fraction, ...] = ()
     if table is not None:
@@ -167,9 +199,9 @@ def build_report(
         rng = random.Random(seed)
         fractions = tuple(window_bernoulli(table, fit, window_trials, rng))
     return AnalysisReport(
-        n_values=len(values),
+        n_values=tally.n_values,
         modulus=modulus,
-        class_histogram=tuple(counts.tolist()),
+        class_histogram=tuple(tally.counts.tolist()),
         chi_square=statistic,
         df=modulus - 1,
         reject_uniformity=reject,

@@ -2,6 +2,12 @@
 
 Exit codes are a stable contract: 0 success, 1 self-test failure,
 2 usage or input error, 3 verification failure.
+
+encode, decode and analyze stream: encode reads CHUNK_VALUES // 2
+payload bytes at a time and writes each chunk's text as it goes, and
+decode and analyze read the stream a chunk of whole lines at a time
+(formats.line_chunks).  decode keeps only the decoded bytes and writes
+them once every check has passed, so a failing command writes nothing.
 """
 
 from __future__ import annotations
@@ -12,24 +18,27 @@ import random
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, ContextManager, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import build_report, gap_density
+from .analysis import ResidueTally, build_report, gap_density
 from .codec import (
+    CHUNK_VALUES,
+    CipherStream,
     SaltSpec,
     build_gap_index,
     decode_message,
     desalt_stream,
     encode_message,
+    generator_from,
     salt_stream,
     verify_stream,
 )
-from .errors import GapstegoError
+from .errors import GapstegoError, OddLengthError, ValueExceedsPeriodError
 from .formats import (
-    CHUNK_BYTES,
     KeyFile,
+    line_chunks,
     parse_key,
     parse_stream,
     serialize_key,
@@ -56,20 +65,30 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _read_bytes(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
+def _open_in(path: str) -> ContextManager[BinaryIO]:
+    return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
-def _write_text(path: str, text: str) -> None:
-    # a slice at a time, so that no encoded copy of a whole stream is made
-    with open(path, "w", encoding="utf-8") if path != "-" else nullcontext(sys.stdout) as out:
-        for i in range(0, len(text), CHUNK_BYTES):
-            out.write(text[i : i + CHUNK_BYTES])
+def _open_out(path: str) -> ContextManager[TextIO]:
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+def _read_pieces(src: BinaryIO, size: int) -> Iterator[bytes]:
+    """src's bytes, `size` at a time; one empty piece when src is empty."""
+    yield src.read(size)
+    while piece := src.read(size):
+        yield piece
+
+
+def _read_stream(src: BinaryIO) -> Iterator[CipherStream]:
+    """The stream in src, a chunk of whole lines at a time."""
+    chunk = None
+    for text in line_chunks(src):
+        chunk = parse_stream(text, after=chunk)
+        yield chunk
+
+
+def _write_bytes(path: str, data: bytes | bytearray) -> None:
     if path == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -95,7 +114,8 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     gens = generate_key(params, modulus=args.modulus)
     table = build_table(gens)
     key = KeyFile(gens, args.mode, seed, choose_salt_pair(gens, table))
-    _write_text(args.out, serialize_key(key))
+    with _open_out(args.out) as out:
+        out.write(serialize_key(key))
     print(
         f"generators={','.join(str(g) for g in gens)}"
         f" frobenius={table.frobenius} genus={table.genus}"
@@ -142,45 +162,82 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     key = _load_key(args.key)
-    payload = _read_bytes(args.input)
-    index = build_gap_index(build_table(key.generators), DEFAULT_MODULUS)
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    rng = random.Random(seed)
-    stream = encode_message(payload, index, rng)
-    if args.salt:
-        i, j = key.salt_pair if key.salt_pair is not None else (0, 1)
-        spec = SaltSpec.from_generators(key.generators, i, j, args.k_max)
-        stream = salt_stream(stream, spec, rng)
-    _write_text(args.out, serialize_stream(stream))
+    with _open_in(args.input) as src:
+        # the stream is written while the payload is read
+        same = "-" not in (args.input, args.out) and os.path.exists(args.out)
+        if same and os.path.samefile(args.input, args.out):
+            raise ValueError(f"--in and --out name the same file, {args.out}")
+        table = build_table(key.generators)
+        index = build_gap_index(table, DEFAULT_MODULUS)
+        seed = args.seed if args.seed is not None else _fresh_seed()
+        rng = random.Random(seed)
+        # the Generators that encode_message(payload, index, rng) and then
+        # salt_stream(stream, spec, rng) would draw from
+        gen = generator_from(rng)
+        spec = None
+        if args.salt:
+            i, j = key.salt_pair if key.salt_pair is not None else (0, 1)
+            spec = SaltSpec.from_generators(key.generators, i, j, args.k_max)
+            # gaps run up to F, and F is one: refuse now, not at the first
+            # value drawn at or past the period, when output has been written
+            if spec.period <= table.frobenius:
+                raise ValueExceedsPeriodError(
+                    f"salt period {spec.period} is not above the Frobenius number"
+                    f" {table.frobenius}; salting would be ambiguous"
+                )
+            salt_gen = generator_from(rng)
+        with _open_out(args.out) as out:
+            last = None
+            for piece in _read_pieces(src, CHUNK_VALUES // 2):
+                chunk = encode_message(piece, index, gen)
+                if spec is not None:
+                    chunk = salt_stream(chunk, spec, salt_gen)
+                out.write(serialize_stream(chunk, after=last))
+                last = chunk
     return 0
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
     key = _load_key(args.key)
-    stream = parse_stream(_read_bytes(args.input))
-    if stream.salted:
-        stream = desalt_stream(stream)
-    if args.verify:
-        table = build_table(key.generators)
-        bad = np.flatnonzero(~verify_stream(stream, table))
-        if bad.size:
-            shown = ",".join(map(str, bad[:20].tolist())) + (",..." if bad.size > 20 else "")
-            print(
-                f"verification failed: {len(bad)} stream value(s) are not gaps"
-                f" (positions {shown})",
-                file=sys.stderr,
-            )
-            return 3
-    _write_bytes(args.out, decode_message(stream))
+    decoded, n = bytearray(), 0
+    carry = np.zeros(0, dtype=np.uint64)  # a value whose pair lies in the next chunk
+    bad, positions = 0, []  # values that are not gaps: their count, the first 20 positions
+    with _open_in(args.input) as src:
+        table = build_table(key.generators) if args.verify else None
+        for chunk in _read_stream(src):
+            if chunk.salted:
+                chunk = desalt_stream(chunk)
+            if table is not None:
+                at = np.flatnonzero(~verify_stream(chunk, table))
+                bad += len(at)
+                positions += (at[: 20 - len(positions)] + n).tolist()
+            values = np.concatenate((carry, chunk.values))
+            pairs = len(values) - len(values) % 2
+            decoded += decode_message(CipherStream(values[:pairs]))
+            carry = values[pairs:]
+            n += len(chunk)
+    if bad:
+        shown = ",".join(map(str, positions)) + (",..." if bad > 20 else "")
+        print(
+            f"verification failed: {bad} stream value(s) are not gaps (positions {shown})",
+            file=sys.stderr,
+        )
+        return 3
+    if len(carry):
+        raise OddLengthError(n)
+    _write_bytes(args.out, decoded)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {args.modulus}")
-    stream = parse_stream(_read_bytes(args.input))
+    tally = ResidueTally(args.modulus)
+    with _open_in(args.input) as src:
+        for chunk in _read_stream(src):
+            tally.add(chunk.values)
     table = build_table(_load_key(args.key).generators) if args.key else None
-    report = build_report(stream, modulus=args.modulus, table=table)
+    report = build_report(tally, modulus=args.modulus, table=table)
     print(f"n_values {report.n_values}")
     print(f"modulus {report.modulus}")
     print(f"class_histogram {','.join(str(c) for c in report.class_histogram)}")

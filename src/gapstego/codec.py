@@ -6,10 +6,14 @@ uniformly among the gaps congruent to v mod 16, so the receiver recovers
 v as a plain residue and never needs the gap list itself.  Checking that
 received values really are gaps screens for corruption, not forgery.
 
-A stream is one read-only uint64 array, and each step on it (decode,
-verify, salt, de-salt) is an array operation; verify_stream returns a
-boolean array, True where a value is a gap, and fills it CHUNK_VALUES
-values at a time, so its scratch does not grow with the stream.
+A stream is one read-only uint64 array, and each step on it (encode,
+decode, verify, salt, de-salt) is an array operation.  The same
+functions take a whole stream or one chunk of it.  encode_message,
+salt_stream and verify_stream work CHUNK_VALUES values at a time, so
+their scratch does not grow with the stream, and a stream encoded and
+salted a chunk after another, drawing from one numpy Generator, is the
+one that a single call on the whole payload gives.  verify_stream
+returns a boolean array, True where a value is a gap.
 
 Optional salting adds k * L to every value for a per-value random
 k in [1, k_max], where L is the lcm of two chosen generators.  Adding a
@@ -32,6 +36,7 @@ from .errors import (
     EmptyClassError,
     MissingSaltPeriodError,
     NegativeInputError,
+    OddLengthError,
     ValueExceedsPeriodError,
 )
 from .semigroup import GeneratingSet, SemigroupTable, class_gaps
@@ -151,22 +156,40 @@ def build_gap_index(table: SemigroupTable, modulus: int = DEFAULT_MODULUS) -> Ga
     return GapIndex(modulus, table.multiplicity, classes)
 
 
-def encode_message(payload: bytes, index: GapIndex, rng: random.Random) -> CipherStream:
-    """Encode bytes as gap values, two per byte, high nibble first, a class at a time."""
+def generator_from(rng: random.Random | np.random.Generator) -> np.random.Generator:
+    """The Generator that encode_message and salt_stream draw from: rng
+    itself when it is one, else one seeded from the random.Random rng."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(rng.getrandbits(128))
+
+
+def encode_message(
+    payload: bytes, index: GapIndex, rng: random.Random | np.random.Generator
+) -> CipherStream:
+    """Encode bytes as gap values, two per byte, high nibble first.
+
+    Each chunk of CHUNK_VALUES // 2 bytes draws its values a class at a
+    time from generator_from(rng).
+    """
     if index.modulus != DEFAULT_MODULUS:
         raise ValueError(f"byte encoding needs modulus 16, got {index.modulus}")
-    gen = np.random.default_rng(rng.getrandbits(128))
+    gen = generator_from(rng)
     data = np.frombuffer(payload, dtype=np.uint8)
-    nibbles = np.stack((data >> 4, data & 0xF), axis=1).ravel()
-    values = np.empty(len(nibbles), dtype=np.uint64)
-    for v, size in enumerate(index.class_sizes()):
-        at = np.flatnonzero(nibbles == v)
-        values[at] = index.gaps_at(v, gen.integers(size, size=len(at)))
+    values = np.empty(2 * len(data), dtype=np.uint64)
+    step = CHUNK_VALUES // 2
+    for i in range(0, len(data), step):
+        piece = data[i : i + step]
+        nibbles = np.stack((piece >> 4, piece & 0xF), axis=1).ravel()
+        out = values[2 * i : 2 * i + len(nibbles)]
+        for v, size in enumerate(index.class_sizes()):
+            at = np.flatnonzero(nibbles == v)
+            out[at] = index.gaps_at(v, gen.integers(size, size=len(at)))
     return CipherStream(values)
 
 
 def decode_message(stream: CipherStream) -> bytes:
-    """Decode a whole stream back to bytes, de-salting first if needed.
+    """Decode a stream back to bytes, de-salting first if needed.
 
     Residues only, no key needed: value pair (a, b) gives the byte
     (a % 16) << 4 | (b % 16).
@@ -175,7 +198,7 @@ def decode_message(stream: CipherStream) -> bytes:
         stream = desalt_stream(stream)
     vals = stream.values
     if len(vals) % 2:
-        raise ValueError(f"stream length {len(vals)} is odd, expected value pairs")
+        raise OddLengthError(len(vals))
     # the low byte of a value keeps its residue mod 16
     nibbles = vals.astype(np.uint8)
     nibbles &= np.uint8(DEFAULT_MODULUS - 1)
@@ -201,8 +224,14 @@ def verify_stream(stream: CipherStream, table: SemigroupTable) -> np.ndarray:
     return gaps
 
 
-def salt_stream(stream: CipherStream, spec: SaltSpec, rng: random.Random) -> CipherStream:
-    """Add k * period to every value, fresh k in [1, k_max] each time."""
+def salt_stream(
+    stream: CipherStream, spec: SaltSpec, rng: random.Random | np.random.Generator
+) -> CipherStream:
+    """Add k * period to every value, fresh k in [1, k_max] each time.
+
+    The k of each chunk of CHUNK_VALUES values are drawn in one call
+    from generator_from(rng).
+    """
     if stream.salted:
         raise ValueError("stream already carries a salt period")
     period = np.uint64(spec.period)
@@ -212,11 +241,15 @@ def salt_stream(stream: CipherStream, spec: SaltSpec, rng: random.Random) -> Cip
         raise ValueExceedsPeriodError(
             f"value {v} >= salt period {spec.period}; salting would be ambiguous"
         )
-    gen = np.random.default_rng(rng.getrandbits(128))
-    salted = gen.integers(1, spec.k_max, size=len(stream), dtype=np.uint64, endpoint=True)
-    # SaltSpec keeps (period - 1) + k_max * period within 2**64 - 1
-    salted *= period
-    salted += stream.values
+    gen = generator_from(rng)
+    salted = np.empty(len(stream), dtype=np.uint64)
+    for i in range(0, len(stream), CHUNK_VALUES):
+        chunk = stream.values[i : i + CHUNK_VALUES]
+        out = salted[i : i + CHUNK_VALUES]
+        out[:] = gen.integers(1, spec.k_max, size=len(chunk), dtype=np.uint64, endpoint=True)
+        # SaltSpec keeps (period - 1) + k_max * period within 2**64 - 1
+        out *= period
+        out += chunk
     return CipherStream(salted, spec.period)
 
 

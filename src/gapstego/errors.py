@@ -63,6 +63,14 @@ class ValueExceedsPeriodError(GapstegoError, ValueError):
     """A stream value is not below the salt period, so salting would lose it."""
 
 
+class OddLengthError(GapstegoError, ValueError):
+    """A stream holds an odd number of values, so its last byte is cut in half."""
+
+    def __init__(self, length: int) -> None:
+        super().__init__(f"stream length {length} is odd, expected value pairs")
+        self.length = length
+
+
 class MissingSaltPeriodError(GapstegoError, ValueError):
     """De-salting requires the stream to carry its salt period."""
 

@@ -22,18 +22,21 @@ and blank lines are allowed.  Parsing is strict: unknown lines, bad
 numbers or out-of-range values raise FormatError rather than being
 skipped, and the first bad line in the file is the one named.
 
-A stream is read and written as ASCII bytes: parse_stream takes
-CHUNK_BYTES of whole lines at a time, serialize_stream CHUNK_VALUES
-values.  So parse_stream holds its input, the uint64 array of values
-(8 bytes a value) and a few chunks of scratch; serialize_stream holds
-the values, the text it returns, the byte buffer that text is decoded
-from and a few chunks.
+A stream is read and written as ASCII bytes, a chunk at a time:
+line_chunks cuts a stream file into CHUNK_BYTES or so of whole lines,
+parse_stream parses such a chunk (or a whole text, chunk by chunk, into
+one preallocated array) and serialize_stream formats CHUNK_VALUES values
+at a time.  A stream is handled one chunk after another by passing the
+chunk before as `after`: its text then has no header, and a parsed chunk
+takes the period of the header the stream began with.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
+from typing import BinaryIO, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,12 +47,13 @@ from .keygen import MODES
 from .semigroup import GeneratingSet, validate_generators
 
 KEY_MAGIC = "frobkey/1"
-# Stream text is parsed, and written out by the CLI, this many bytes at a time.
+# Stream text is read and parsed this many bytes (of whole lines) at a time.
 CHUNK_BYTES = 1 << 18
 _U64_MAX = 2**64 - 1
 _TOKEN = re.compile("[0-9]+")
 _BLANKS = " \t"
 _LINE_BREAKS = "\r\n"
+_SPACE = f"{_BLANKS}{_LINE_BREAKS}".encode()
 _HEADER = re.compile(f"[{_BLANKS}{_LINE_BREAKS}]*salt[^{_LINE_BREAKS}]*".encode())
 # 2**64 - 1 has 20 digits: a longer token is in range only when zero-padded
 _WIDTH = len(str(_U64_MAX))
@@ -131,9 +135,13 @@ def parse_key(text: str) -> KeyFile:
     return KeyFile(gens, mode, seed, salt_pair)
 
 
-def serialize_stream(stream: CipherStream) -> str:
-    """Stream text: the salt header, if salted, then one value a line."""
-    header = f"salt {stream.salt_period}\n" if stream.salted else ""
+def serialize_stream(stream: CipherStream, after: CipherStream | None = None) -> str:
+    """Stream text: the salt header, if salted, then one value a line.
+
+    With `after`, the text follows that of the chunk `after` of the same
+    stream, so it has no header.
+    """
+    header = f"salt {stream.salt_period}\n" if stream.salted and after is None else ""
     values = stream.values
     if len(values) <= CHUNK_VALUES:
         return header + _format_values(values).tobytes().decode("ascii")
@@ -172,14 +180,18 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def parse_stream(data: bytes | str) -> CipherStream:
-    """Parse stream text, given as bytes; a str is encoded as UTF-8 first."""
+def parse_stream(data: bytes | str, after: CipherStream | None = None) -> CipherStream:
+    """Parse stream text, given as bytes; a str is encoded as UTF-8 first.
+
+    With `after`, data is the text that follows the chunk `after` of the
+    same stream: it has no header and takes after's salt period.
+    """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    salt_period = None
-    header = _HEADER.match(data)
+    salt_period = after.salt_period if after is not None else None
+    header = _HEADER.match(data) if after is None else None
     if header:
-        raw = header.group().strip(f"{_BLANKS}{_LINE_BREAKS}".encode())
+        raw = header.group().strip(_SPACE)
         line = _line_text(raw, "salt header")
         parts = re.split(f"[{_BLANKS}]+", line)
         if len(parts) != 2 or parts[0] != "salt":
@@ -187,7 +199,44 @@ def parse_stream(data: bytes | str) -> CipherStream:
         salt_period = _parse_uint(parts[1], "salt period")
         if salt_period < 1:
             raise FormatError("salt period must be >= 1")
-    return CipherStream(_parse_body(data, header.end() if header else 0), salt_period)
+    start = header.end() if header else 0
+    if len(data) - start <= CHUNK_BYTES:
+        return CipherStream(_parse_values(memoryview(data)[start:]), salt_period)
+    values = np.empty(_line_bound(np.frombuffer(data, dtype=np.uint8)[start:]), dtype=np.uint64)
+    n = 0
+    body = io.BytesIO(data)
+    body.seek(start)
+    for chunk in line_chunks(body):
+        parsed = _parse_values(chunk)
+        values[n : n + len(parsed)] = parsed
+        n += len(parsed)
+    return CipherStream(values[:n], salt_period)
+
+
+def line_chunks(file: BinaryIO) -> Iterator[bytes]:
+    """The bytes of a stream file in chunks of whole lines, each at most
+    CHUNK_BYTES long unless one line is longer.
+
+    The first chunk runs at least through the first line that is not
+    blank, where a header would be.
+    """
+    parts: list[bytes] = []  # what was read after the last chunk
+    held = 0  # its length
+    begun = False  # a byte other than a blank or a line break has been read
+    while data := file.read(CHUNK_BYTES - held if held < CHUNK_BYTES else CHUNK_BYTES):
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        if cut and (begun or data[:cut].strip(_SPACE)):
+            chunk = b"".join([*parts, memoryview(data)[:cut]])
+            # while the chunk is parsed, hold it and the start of the next only
+            parts, begun, data = [data[cut:]], True, b""
+            held = len(parts[0])
+            yield chunk
+        else:
+            parts.append(data)
+            held += len(data)
+            begun = begun or bool(data.strip(_SPACE))
+    if held:
+        yield b"".join(parts)
 
 
 def _line_text(raw: bytes, what: str) -> str:
@@ -197,22 +246,6 @@ def _line_text(raw: bytes, what: str) -> str:
     except UnicodeDecodeError:
         shown = raw.decode("utf-8", "backslashreplace")
         raise FormatError(f"{what}: not UTF-8 text, got '{shown}'") from None
-
-
-def _parse_body(data: bytes, start: int) -> np.ndarray:
-    """Every value of the stream body data[start:], a chunk of whole lines at a time."""
-    view = memoryview(data)
-    if len(data) - start <= CHUNK_BYTES:
-        return _parse_values(view[start:])
-    values = np.empty(_line_bound(np.frombuffer(data, dtype=np.uint8)[start:]), dtype=np.uint64)
-    n = 0
-    while start < len(data):
-        end = _chunk_end(data, start)
-        chunk = _parse_values(view[start:end])
-        values[n : n + len(chunk)] = chunk
-        n += len(chunk)
-        start = end
-    return values[:n]
 
 
 def _line_bound(buf: np.ndarray) -> int:
@@ -227,19 +260,6 @@ def _line_bound(buf: np.ndarray) -> int:
     return lines
 
 
-def _chunk_end(data: bytes, start: int) -> int:
-    """Where the chunk from start ends: after its last line break, or after the
-    first one when a line is longer than a chunk."""
-    stop = start + CHUNK_BYTES
-    if stop >= len(data):
-        return len(data)
-    cut = max(data.rfind(b, start, stop) for b in _LINE_BREAKS.encode())
-    if cut < 0:
-        after = [i for b in _LINE_BREAKS.encode() if (i := data.find(b, stop)) >= 0]
-        cut = min(after, default=len(data) - 1)
-    return cut + 1
-
-
 def _any_of(buf: np.ndarray, chars: str) -> np.ndarray:
     hit = np.zeros(len(buf), dtype=bool)
     for c in chars.encode():
@@ -247,7 +267,7 @@ def _any_of(buf: np.ndarray, chars: str) -> np.ndarray:
     return hit
 
 
-def _parse_values(body: memoryview) -> np.ndarray:
+def _parse_values(body: bytes | memoryview) -> np.ndarray:
     """Every value of some whole lines of a stream body, checked and converted at once."""
     # the blanks in front let every token end a full window; the final line
     # break ends the last word inside the buffer
@@ -258,7 +278,8 @@ def _parse_values(body: memoryview) -> np.ndarray:
     word |= breaks
     np.logical_not(word, out=word)
     # words and the gaps between them alternate, from a gap to a gap
-    edges = np.flatnonzero(word[1:] != word[:-1]) + 1
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    edges += 1
     starts, ends = edges[0::2], edges[1::2]
     if not len(starts):
         return np.zeros(0, dtype=np.uint64)
@@ -278,7 +299,12 @@ def _parse_values(body: memoryview) -> np.ndarray:
     if wide.size:
         last = sliding_window_view(buf, _WIDTH)[ends[wide] - _WIDTH]
         big = last.view(f"S{_WIDTH}").ravel() > _U64_DIGITS
-        big |= [raw[s : e - _WIDTH].strip(b"0") != b"" for s, e in zip(starts[wide], ends[wide])]
+        # a longer token is in range only when every digit before its last
+        # _WIDTH is a 0: OR over [start, end - _WIDTH) of each such token
+        longer = lengths[wide] > _WIDTH
+        if longer.any():
+            cuts = np.stack((starts[wide[longer]], ends[wide[longer]] - _WIDTH), axis=1)
+            big[longer] |= np.logical_or.reduceat(buf != ord("0"), cuts.ravel())[0::2]
         if big.any():
             faults.append(int(starts[wide[big.argmax()]]))
     if faults:

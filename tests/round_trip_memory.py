@@ -1,0 +1,91 @@
+"""A 16 MiB round trip through the CLI, in memory that does not grow with the stream.
+
+Run from the repository root:
+
+    python tests/round_trip_memory.py
+
+It runs `encode` and then `decode --verify` on a random payload of
+256 KiB and of 16 MiB with the README key, each command as a child
+process, checks that the decoded bytes are the payload, and prints the
+peak RSS of each child (os.wait4's ru_maxrss).  It exits 1 unless each
+command's peak on 16 MiB is within 2x of its peak on 256 KiB.
+
+A child's ru_maxrss counts the memory of the process that started it,
+so this script holds no payload or stream: it writes and compares them
+1 MiB at a time, by SHA-256.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# `gapstego keygen --seed 1`, the key of the README
+KEY = "frobkey/1\nmode telescopic\nseed 1\nsalt-pair 3 4\n568\n3692\n4084\n4314\n4483\n"
+SIZES = (1 << 18, 1 << 24)
+GROWTH = 2.0
+PIECE = 1 << 20
+
+
+def peak_mb(args: list) -> float:
+    """Run the CLI with args; its peak RSS in MB, or exit 1 when it fails."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "gapstego.cli", *map(str, args)], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        sys.exit(f"gapstego {' '.join(map(str, args))} failed")
+    return usage.ru_maxrss / 1024
+
+
+def write_payload(path: Path, size: int) -> str:
+    """Write `size` random bytes to path; their SHA-256."""
+    rng, digest = random.Random(size), hashlib.sha256()
+    with open(path, "wb") as out:
+        for i in range(0, size, PIECE):
+            piece = rng.randbytes(min(PIECE, size - i))
+            digest.update(piece)
+            out.write(piece)
+    return digest.hexdigest()
+
+
+def sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as src:
+        while piece := src.read(PIECE):
+            digest.update(piece)
+    return digest.hexdigest()
+
+
+def main() -> int:
+    peaks: dict[str, list[float]] = {"encode": [], "decode --verify": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        key = work / "demo.key"
+        key.write_text(KEY)
+        for size in SIZES:
+            payload = write_payload(work / "payload.bin", size)
+            stream, out = work / "stream.txt", work / "out.bin"
+            peaks["encode"].append(peak_mb(
+                ["encode", "--key", key, "--in", work / "payload.bin", "--out", stream, "--seed", 1]))
+            peaks["decode --verify"].append(peak_mb(
+                ["decode", "--verify", "--key", key, "--in", stream, "--out", out]))
+            if sha256(out) != payload:
+                sys.exit(f"decoded bytes differ from the {size}-byte payload")
+            print(f"{size} bytes: {stream.stat().st_size} bytes of stream, round trip exact")
+    ok = True
+    for command, (small, large) in peaks.items():
+        within = large <= GROWTH * small
+        ok &= within
+        print(f"{command:16} peak RSS {small:7.1f} MB at {SIZES[0]} B, {large:7.1f} MB at"
+              f" {SIZES[1]} B: x{large / small:.2f} {'ok' if within else f'over x{GROWTH}'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,7 @@ from gapstego import (
     analysis,
     InsufficientSamplesError,
     WindowExceedsRangeError,
+    ResidueTally,
     build_report,
     build_table,
     chi2_critical,
@@ -110,6 +111,26 @@ class TestChiSquare:
         values = tuple(16 + v for v in range(16)) * 5
         stat, _ = chi_square_uniformity(CipherStream(values), 16)
         assert stat == 0.0
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=35, max_size=60), st.integers(2, 7),
+           st.integers(1, 9))
+    def test_tally_chunk_after_chunk(self, values, modulus, step):
+        tally = ResidueTally(modulus)
+        for i in range(0, len(values), step):
+            tally.add(CipherStream(values[i : i + step]).values)
+        assert build_report(tally, modulus) == build_report(CipherStream(values), modulus)
+
+    @pytest.mark.parametrize("modulus", [1, 65, 2**64])
+    def test_tally_counts_nothing_past_the_table(self, modulus):
+        tally = ResidueTally(modulus)
+        tally.add([1, 2, 2**64 - 1])
+        assert tally.n_values == 3 and tally.counts is None
+
+    def test_tally_modulus_must_match(self):
+        tally = ResidueTally(16)
+        tally.add(range(160))
+        with pytest.raises(ValueError, match="counted mod 16, not mod 8"):
+            build_report(tally, 8)
 
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=35, max_size=60), st.integers(2, 7))
     def test_counts_in_chunks(self, values, modulus):

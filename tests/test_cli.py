@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,10 +14,20 @@ from hypothesis import strategies as st
 
 from gapstego import (
     KeyFile,
+    SaltSpec,
     SemigroupTable,
+    analysis,
+    build_gap_index,
+    build_table,
+    cli,
+    codec,
+    encode_message,
+    formats,
     parse_key,
     parse_stream,
+    salt_stream,
     serialize_key,
+    serialize_stream,
     validate_generators,
 )
 from gapstego.cli import main
@@ -173,6 +186,14 @@ class TestEncodeDecode:
         s2, _ = self.round_trip(tmp_path, viable_key, b"hello")
         assert s2.read_text() == first
 
+    def test_payload_file_is_not_the_stream_file(self, tmp_path, viable_key, capsys):
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"keep me")
+        rc = main(["encode", "--key", str(viable_key), "--in", str(src), "--out", str(src)])
+        assert rc == 2
+        assert src.read_bytes() == b"keep me"
+        assert "same file" in capsys.readouterr().err
+
     def test_unviable_key_refused(self, tmp_path, capsys):
         key = write_key(tmp_path, (5, 7))  # class 5 mod 16 is empty
         src = tmp_path / "p.bin"
@@ -253,6 +274,205 @@ class TestSaltBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "k_max" in captured.err
+
+
+class TestSaltPeriod:
+    # the README key without its salt pair salts with lcm(568, 3692) = 7384,
+    # far below F = 297801: some gaps cannot be salted unambiguously
+    PERIOD, FROBENIUS = 7384, 297801
+
+    @pytest.fixture
+    def key(self, tmp_path):
+        return write_key(tmp_path, README_GENS, seed=1, name="nopair.key")
+
+    @pytest.mark.parametrize("seed", ["1", "5", "77"])
+    @pytest.mark.parametrize("out", ["file", "-"])
+    def test_period_not_above_frobenius_refused(self, tmp_path, key, capsys, seed, out):
+        assert math.lcm(*README_GENS[:2]) == self.PERIOD
+        assert build_table(validate_generators(README_GENS)).frobenius == self.FROBENIUS
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"\x00")  # two values, both below the period
+        stream = tmp_path / "s.txt"
+        dest = str(stream) if out == "file" else "-"
+        args = ["encode", "--key", str(key), "--in", str(src), "--out", dest, "--salt", "--seed", seed]
+        assert main(args) == 2
+        assert not stream.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: salt period {self.PERIOD} is not above the Frobenius number"
+            f" {self.FROBENIUS}; salting would be ambiguous\n"
+        )
+
+    def test_unsalted_encode_unaffected(self, tmp_path, key):
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"\x00")
+        assert main(["encode", "--key", str(key), "--in", str(src), "--out", str(tmp_path / "s.txt")]) == 0
+
+
+BIGKEY_GENS = (
+    160000, 400000, 920000, 1072000, 1140000, 1263000,
+    1271200, 1271640, 1278984, 1279492, 1279746, 1279873,
+)
+
+
+class TestPinnedStreams:
+    """encode --seed 5 of a 4 KiB payload, one chunk of values, stays byte for byte
+    what it was before encode streamed its output (SHA-256 of the stream file)."""
+
+    PINS = {
+        ("readme", False): "6042a918c2002554e4eb970a9fab1e7441b4b0895ad0a3c2fa95b7bec7241528",
+        ("readme", True): "61e006abb8483ce0d29ff31282b5e09033f7d4170ed312ab9eb8c377360e9157",
+        ("bigkey", False): "78c3e76d783d7b83ce1f0ad45a1421f71778ac055c2934ef533ed5f415ef5144",
+        ("bigkey", True): "a897349ecd129c8c7af24f8da854df6e3e1f0d53c302d670ad7d9c20a5458740",
+    }
+
+    @pytest.mark.parametrize("name,gens,pair", [
+        ("readme", README_GENS, (3, 4)), ("bigkey", BIGKEY_GENS, (10, 11))])
+    def test_stream_unchanged(self, tmp_path, name, gens, pair):
+        key = write_key(tmp_path, gens, seed=1, salt_pair=pair)
+        src = tmp_path / "p.bin"
+        src.write_bytes(random.Random(0).randbytes(4096))
+        for salt in (False, True):
+            stream = tmp_path / "s.txt"
+            args = ["encode", "--key", str(key), "--in", str(src), "--out", str(stream), "--seed", "5"]
+            assert main(args + ["--salt"] * salt) == 0
+            assert hashlib.sha256(stream.read_bytes()).hexdigest() == self.PINS[name, salt]
+
+
+@contextlib.contextmanager
+def chunk_sizes(values, text_bytes):
+    """Streams handled `values` values and `text_bytes` bytes of text at a time."""
+    with contextlib.ExitStack() as stack:
+        for module in (codec, cli, formats, analysis):
+            stack.enter_context(mock.patch.object(module, "CHUNK_VALUES", values))
+        stack.enter_context(mock.patch.object(formats, "CHUNK_BYTES", text_bytes))
+        yield
+
+
+class TestStreamChunks:
+    """encode, decode and analyze on streams of many chunks."""
+
+    def encode(self, tmp_path, key, payload, salt):
+        src, stream = tmp_path / "p.bin", tmp_path / "s.txt"
+        src.write_bytes(payload)
+        args = ["encode", "--key", str(key), "--in", str(src), "--out", str(stream), "--seed", "3"]
+        assert main(args + ["--salt"] * salt) == 0
+        return stream
+
+    def expected(self, payload, salt):
+        """The stream text of the library's whole-array calls at the same seed."""
+        rng = random.Random(3)
+        stream = encode_message(payload, build_gap_index(build_table(validate_generators(README_GENS))), rng)
+        if salt:
+            stream = salt_stream(stream, SaltSpec(math.lcm(4314, 4483)), rng)
+        return serialize_stream(stream)
+
+    @pytest.mark.parametrize("salt", [False, True])
+    @pytest.mark.parametrize("sizes,payload_bytes", [
+        (None, 40_000),  # the real chunks: 80,000 values
+        ((6, 16), 101),  # odd chunks of text, values split across them
+        ((2, 3), 47),
+    ])
+    def test_encode_is_library_stream_and_decodes(self, tmp_path, readme_key, capsys, salt, sizes,
+                                                  payload_bytes):
+        payload = random.Random(payload_bytes).randbytes(payload_bytes)
+        with chunk_sizes(*sizes) if sizes else contextlib.nullcontext():
+            stream = self.encode(tmp_path, readme_key, payload, salt)
+            assert stream.read_text() == self.expected(payload, salt)
+            out = tmp_path / "o.bin"
+            args = ["--key", str(readme_key), "--in", str(stream)]
+            assert main(["decode", *args, "--out", str(out), "--verify"]) == 0
+            assert out.read_bytes() == payload
+            assert main(["analyze", *args]) == 0
+        n = 2 * payload_bytes
+        report = capsys.readouterr().out
+        assert f"n_values {n}\n" in report
+        histogram = analysis.build_report(parse_stream(stream.read_bytes()), 16).class_histogram
+        assert f"class_histogram {','.join(map(str, histogram))}\n" in report
+
+    @pytest.mark.parametrize("out", ["file", "-"])
+    @pytest.mark.parametrize("bad", [b"+5", b"1 2", b"3\xff4", str(2**64).encode()])
+    def test_bad_last_line_writes_nothing(self, tmp_path, readme_key, capsys, out, bad):
+        stream = self.encode(tmp_path, readme_key, random.Random(1).randbytes(50_000), False)
+        data = stream.read_bytes()
+        assert len(data) > 2 * formats.CHUNK_BYTES
+        stream.write_bytes(data + bad + b"\n")
+        dest = tmp_path / "o.bin"
+        args = ["decode", "--verify", "--key", str(readme_key), "--in", str(stream)]
+        assert main(args + ["--out", str(dest) if out == "file" else "-"]) == 2
+        assert not dest.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: stream value: ")
+
+    def test_verify_positions_across_chunks(self, tmp_path, readme_key, capsys):
+        values = [1, 2] * 30
+        for at in (0, 7, 8, 41, 59):
+            values[at] = README_GENS[1]
+        stream = tmp_path / "s.txt"
+        stream.write_text("".join(f"{v}\n" for v in values))
+        with chunk_sizes(4, 8):
+            rc = main(["decode", "--verify", "--key", str(readme_key), "--in", str(stream)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "5 stream value(s) are not gaps (positions 0,7,8,41,59)" in captured.err
+
+    @pytest.mark.parametrize("n", [3, 61])
+    def test_odd_stream_named_by_length(self, tmp_path, viable_key, capsys, n):
+        stream = tmp_path / "odd.txt"
+        stream.write_text("1\n" * n)
+        with chunk_sizes(4, 6):
+            assert main(["decode", "--key", str(viable_key), "--in", str(stream)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: stream length {n} is odd, expected value pairs\n"
+
+
+class TestCommandMemory:
+    """Peak traced memory of encode, decode --verify and analyze --key, in
+    process, on a 256 KiB and a 1 MiB payload: only decode grows with the
+    stream, by the bytes it decodes, half a byte a value."""
+
+    SIZES = (1 << 18, 1 << 20)
+
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("memory")
+        key = write_key(work, README_GENS, seed=1, salt_pair=(3, 4))
+        # the key's round-robin pass is cached from here on, so that no
+        # command's peak holds it
+        build_table(validate_generators(README_GENS))
+        peaks = {}
+        for size in self.SIZES:
+            src, stream = work / "p.bin", work / "s.txt"
+            src.write_bytes(random.Random(size).randbytes(size))
+            for command, args in [
+                ("encode", ["encode", "--in", src, "--out", stream, "--seed", 1]),
+                ("decode", ["decode", "--verify", "--in", stream, "--out", work / "o.bin"]),
+                ("analyze", ["analyze", "--in", stream]),
+            ]:
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        assert main([*map(str, args), "--key", str(key)]) == 0
+                    peaks[command, size] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert (work / "o.bin").read_bytes() == src.read_bytes()
+        return peaks
+
+    @pytest.mark.parametrize("command", ["encode", "analyze"])
+    def test_flat(self, peaks, command):
+        small, large = (peaks[command, size] for size in self.SIZES)
+        assert abs(large - small) < 1 << 20
+
+    def test_decode_holds_the_bytes_only(self, peaks):
+        small, large = (peaks["decode", size] for size in self.SIZES)
+        values = 2 * (self.SIZES[1] - self.SIZES[0])
+        # half a byte a value, and the slack a growing bytearray keeps
+        assert large - small <= 0.6 * values
 
 
 class TestForgery:

@@ -16,6 +16,7 @@ from gapstego import (
     EmptyClassError,
     MissingSaltPeriodError,
     NegativeInputError,
+    OddLengthError,
     SaltSpec,
     ValueExceedsPeriodError,
     build_gap_index,
@@ -23,6 +24,7 @@ from gapstego import (
     decode_message,
     desalt_stream,
     encode_message,
+    generator_from,
     measure_salt_gap_preservation,
     residue_histogram,
     salt_stream,
@@ -155,6 +157,32 @@ class TestEncodeMessage:
         with pytest.raises(ValueError):
             encode_message(b"hi", idx, random.Random(0))
 
+    @given(payload=st.binary(max_size=60), step=st.sampled_from([2, 4, 6, 10]),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_chunk_after_chunk(self, index3738, payload, step, seed):
+        # chunks of CHUNK_VALUES // 2 bytes, each drawn from one Generator,
+        # give the values of one call on the whole payload
+        with mock.patch.object(codec, "CHUNK_VALUES", step):
+            whole = encode_message(payload, index3738, random.Random(seed))
+            gen = generator_from(random.Random(seed))
+            pieces = [encode_message(payload[i : i + step // 2], index3738, gen).values
+                      for i in range(0, len(payload), step // 2)]
+        assert np.array_equal(np.concatenate([np.zeros(0, np.uint64), *pieces]), whole.values)
+        assert decode_message(whole) == payload
+
+    def test_one_chunk_draws_as_one_call(self, index3738):
+        # a payload of at most CHUNK_VALUES // 2 bytes draws each class once
+        payload = random.Random(4).randbytes(300)
+        gen = np.random.default_rng(random.Random(9).getrandbits(128))
+        nibbles = np.frombuffer(payload, dtype=np.uint8)
+        nibbles = np.stack((nibbles >> 4, nibbles & 0xF), axis=1).ravel()
+        values = np.empty(len(nibbles), dtype=np.uint64)
+        for v, size in enumerate(index3738.class_sizes()):
+            at = np.flatnonzero(nibbles == v)
+            values[at] = index3738.gaps_at(v, gen.integers(size, size=len(at)))
+        assert np.array_equal(encode_message(payload, index3738, random.Random(9)).values, values)
+
 
 def decode_pair(n1, n2):
     return decode_message(CipherStream((n1, n2)))
@@ -186,6 +214,8 @@ class TestDecode:
     def test_odd_stream_rejected(self):
         with pytest.raises(ValueError):
             decode_message(CipherStream((1, 2, 3)))
+        with pytest.raises(OddLengthError, match="^stream length 3 is odd, expected value pairs$"):
+            decode_message(CipherStream((1, 2, 3), salt_period=35))
 
     @given(payload=st.binary(max_size=300))
     @settings(max_examples=50)
@@ -231,6 +261,18 @@ class TestSalting:
             assert r == 0 and 1 <= k <= spec.k_max
         assert np.array_equal(desalt_stream(salted).values, stream.values)
         assert decode_message(salted) == b"covert"
+
+    @given(st.lists(st.integers(0, 1400), max_size=40), st.integers(1, 9), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_chunk_after_chunk(self, values, step, seed):
+        spec = SaltSpec(1406, k_max=5)
+        with mock.patch.object(codec, "CHUNK_VALUES", step):
+            whole = salt_stream(CipherStream(values), spec, random.Random(seed))
+            gen = generator_from(random.Random(seed))
+            pieces = [salt_stream(CipherStream(values[i : i + step]), spec, gen).values
+                      for i in range(0, len(values), step)]
+        assert np.array_equal(np.concatenate([np.zeros(0, np.uint64), *pieces]), whole.values)
+        assert np.array_equal(desalt_stream(whole).values, values)
 
     def test_value_at_period_refused(self):
         spec = SaltSpec(period=35)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import random
 import tracemalloc
 from unittest import mock
@@ -225,6 +226,27 @@ def check_parse(text):
         assert stream.salt_period == period
 
 
+def check_parse_chunks(text):
+    """parse_stream on the chunks of line_chunks, each after the one before,
+    gives the values and salt period of parse_stream on the whole text."""
+    data = text.encode("utf-8", "surrogatepass")
+    try:
+        whole = parse_stream(data)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            chunk = None
+            for piece in formats.line_chunks(io.BytesIO(data)):
+                chunk = parse_stream(piece, after=chunk)
+        assert str(got.value) == str(exc)
+        return
+    chunks = []
+    for piece in formats.line_chunks(io.BytesIO(data)):
+        chunks.append(parse_stream(piece, after=chunks[-1] if chunks else None))
+        assert chunks[-1].salt_period == whole.salt_period
+    values = np.concatenate([c.values for c in chunks]) if chunks else np.zeros(0, np.uint64)
+    assert np.array_equal(values, whole.values)
+
+
 def check_serialize(values, period):
     """serialize_stream writes str() of each value a line, after the header."""
     stream = CipherStream(values, period)
@@ -273,11 +295,38 @@ class TestStreamChunks:
         with chunks(chunk):
             check_serialize(values, period)
 
+    @given(stream_texts, chunk_sizes)
+    @example("salt 5\n1\n2\n3\n", 2)
+    @example("\n\n\r\n \n\t salt 7\n1\n", 2)  # blank lines before the header
+    @example("\n\n\n\nsalt 7", 1)
+    @example("1\n2\nsalt 7\n", 2)  # a header line after the first chunk is a bad value
+    @example("1\n\n\n\n\n+5\n", 3)
+    @settings(max_examples=300)
+    def test_chunk_after_chunk(self, text, chunk):
+        with chunks(chunk):
+            check_parse_chunks(text)
+
+    @given(
+        st.lists(st.integers(0, 2**64 - 1), max_size=30),
+        st.one_of(st.none(), st.integers(1, 2**64 - 1)),
+        st.integers(1, 7),
+    )
+    def test_serialize_chunk_after_chunk(self, values, period, step):
+        stream = CipherStream(values, period)
+        pieces = [CipherStream(stream.values[i : i + step], period)
+                  for i in range(0, max(len(values), 1), step)]
+        text = "".join(serialize_stream(c, after=pieces[k - 1] if k else None)
+                       for k, c in enumerate(pieces))
+        assert text == serialize_stream(stream)
+
     def test_line_longer_than_chunk_taken_whole(self):
-        text = f"{'0' * 100}7\n8\n".encode()
+        text = f"{'0' * 100}7\n8\n9\n".encode()
         with chunks(4):
-            assert formats._chunk_end(text, 0) == 102
-            assert parse_stream(text) == CipherStream((7, 8))
+            pieces = list(formats.line_chunks(io.BytesIO(text)))
+            assert pieces[0].startswith(text[:102])
+            assert all(p.endswith(b"\n") and len(p) <= 4 for p in pieces[1:])
+            assert b"".join(pieces) == text
+            assert parse_stream(text) == CipherStream((7, 8, 9))
 
     @pytest.mark.parametrize("data", [b"1\n2\n3\xff4\n5\n", b"1\n2\n\t3\xff4 \r\n\xff\n"])
     @pytest.mark.parametrize("chunk", [2, formats.CHUNK_BYTES])
@@ -289,6 +338,32 @@ class TestStreamChunks:
     def test_non_utf8_header_named(self):
         with pytest.raises(FormatError, match=r"^salt header: not UTF-8 text, got 'salt 3\\xff'$"):
             parse_stream(b"salt 3\xff\n1\n")
+
+
+# tokens of 19 to 25 digits, zero-padded or not, on either side of 2**64 - 1
+wide_tokens = st.builds(
+    lambda value, pad: "0" * pad + str(value),
+    st.one_of(st.integers(2**64 - 3, 2**64 + 2), st.integers(10**18, 10**25 - 1)),
+    st.integers(0, 6),
+).filter(lambda token: 19 <= len(token) <= 25)
+
+
+class TestWideTokens:
+    """Tokens at the edge of the uint64 range, refereed by the reference parser."""
+
+    @given(st.lists(st.tuples(wide_tokens, st.sampled_from(["\n", "\r\n", " \n", "\r"])),
+                    max_size=12),
+           st.sampled_from([None, 5, 8, 21, 22, 64]))
+    @example([(f"{2**64 - 1}", "\n"), (f"00000{2**64 - 1}", "\n")], None)
+    @example([(f"00000{2**64 - 1}", "\n"), (f"00000{2**64}", "\n")], 22)
+    @example([(f"1{'0' * 19}", "\n"), (f"{'0' * 5}{2**64 - 1}", "\n")], 21)
+    @example([("0" * 24 + "1", "\n")], None)
+    @settings(max_examples=300)
+    def test_parse_matches_reference(self, lines, chunk):
+        text = "".join(token + end for token, end in lines)
+        with chunks(chunk) if chunk else contextlib.nullcontext():
+            check_parse(text)
+            check_parse_chunks(text)
 
 
 class TestStreamMemory:
