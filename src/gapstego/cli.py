@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import ResidueTally, build_report, gap_density
 from .codec import (
     CHUNK_VALUES,
+    DEFAULT_MODULUS,
     CipherStream,
     SaltSpec,
     build_gap_index,
@@ -45,16 +46,8 @@ from .formats import (
     serialize_stream,
 )
 from .formulas import davison_check, wilf_check
-from .keygen import (
-    DEFAULT_MODULUS,
-    KeygenParams,
-    MODES,
-    check_viability,
-    choose_salt_pair,
-    generate_key,
-)
+from .keygen import KeygenParams, MODES, check_viability, choose_salt_pair, generate_key
 from .semigroup import build_table, is_telescopic, minimal_generators
-from .selftest import run_selftest
 
 _APERY_PRINT_LIMIT = 64
 
@@ -111,7 +104,7 @@ def _load_key(path: str) -> KeyFile:
 def cmd_keygen(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     params = KeygenParams(seed=seed, n_elements=args.n_elements, mode=args.mode)
-    gens = generate_key(params, modulus=args.modulus)
+    gens = generate_key(params)
     table = build_table(gens)
     key = KeyFile(gens, args.mode, seed, choose_salt_pair(gens, table))
     with _open_out(args.out) as out:
@@ -232,11 +225,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {args.modulus}")
+    key = _load_key(args.key) if args.key else None
     tally = ResidueTally(args.modulus)
     with _open_in(args.input) as src:
         for chunk in _read_stream(src):
             tally.add(chunk.values)
-    table = build_table(_load_key(args.key).generators) if args.key else None
+    # built after the stream is read, so the table and the read never overlap
+    table = build_table(key.generators) if key else None
     report = build_report(tally, modulus=args.modulus, table=table)
     print(f"n_values {report.n_values}")
     print(f"modulus {report.modulus}")
@@ -253,6 +248,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest  # the property families load only here
+
     ok = run_selftest(seed=args.seed, echo=print)
     return 0 if ok else 1
 
@@ -269,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-elements", type=int, default=5)
     p.add_argument("--mode", choices=MODES, default="telescopic")
     p.add_argument("--seed", type=int, default=None, help="default: OS entropy, recorded in the file")
-    p.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
     p.set_defaults(handler=cmd_keygen)
 
     p = sub.add_parser("inspect", help="print structural facts about a key")
@@ -299,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("selftest", help="run reduced-scale property suites")
+    p = sub.add_parser("selftest", help="run the acceptance property checks on small families")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_selftest)
 

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .analysis import residue_histogram
+from .codec import DEFAULT_MODULUS
 from .errors import ViabilityFailure
 from .semigroup import (
     GeneratingSet,
@@ -31,7 +32,6 @@ from .semigroup import (
 )
 
 MODES = ("appendix-c", "telescopic")
-DEFAULT_MODULUS = 16
 RETRY_BUDGET = 10_000
 # "comparable magnitude" cap: no generator may exceed 8x the smallest.
 RATIO_CAP = 8
@@ -76,7 +76,7 @@ def check_viability(table: SemigroupTable, modulus: int) -> KeyViability:
     return KeyViability(modulus, counts, min(counts) >= 1)
 
 
-def generate_key(params: KeygenParams, modulus: int = DEFAULT_MODULUS) -> GeneratingSet:
+def generate_key(params: KeygenParams) -> GeneratingSet:
     """Draw keys until one passes validation plus per-class viability.
 
     Deterministic in params.seed.  Raises ViabilityFailure when the retry
@@ -91,12 +91,12 @@ def generate_key(params: KeygenParams, modulus: int = DEFAULT_MODULUS) -> Genera
         if candidate is None:
             continue
         gens = validate_generators(candidate)
-        viability = check_viability(build_table(gens), modulus)
+        viability = check_viability(build_table(gens), DEFAULT_MODULUS)
         if viability.viable:
             return gens
         empty_class = viability.per_class_gap_count.index(0)
     detail = (
-        f"; residue class {empty_class} mod {modulus} kept coming up empty"
+        f"; residue class {empty_class} mod {DEFAULT_MODULUS} kept coming up empty"
         if empty_class is not None
         else ""
     )

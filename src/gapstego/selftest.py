@@ -1,160 +1,285 @@
-"""Reduced-scale property suites runnable from the installed package.
+"""Property checks and the families they run on, defined once.
 
-The heavyweight envelope sweeps live in the test suite; this module keeps
-just enough of each cross-check to catch a miscompiled or mispackaged
-install in a few seconds.  Each suite raises AssertionError on the first
-disagreement; the runner reports the suite name and the seed needed to
-reproduce it.
+tests/test_acceptance.py runs these checks on full-size families at
+frozen seeds; `gapstego selftest` runs the same checks on small families,
+enough to catch a miscompiled or mispackaged install in about a second.
+A check raises AssertionError naming its subject at the first
+disagreement, also under ``python -O``; the selftest runner reports the
+suite name and the seed needed to reproduce it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import analysis, codec, formulas, keygen, semigroup
 
 
-def _random_generating_set(rng: random.Random) -> semigroup.GeneratingSet:
-    while True:
-        n = rng.randint(2, 5)
-        cand = sorted({rng.randint(2, 120) for _ in range(n)})
-        if len(cand) >= 2 and math.gcd(*cand) == 1:
-            return semigroup.validate_generators(cand)
+def random_family(rng: random.Random, count: int, max_value: int) -> list:
+    """(gens, table) for `count` random sets of 2..6 values in [2, max_value], gcd 1."""
+    items = []
+    while len(items) < count:
+        size = rng.randint(2, 6)
+        candidate = sorted(rng.sample(range(2, max_value + 1), size))
+        if math.gcd(*candidate) == 1:
+            gens = semigroup.validate_generators(candidate)
+            items.append((gens, semigroup.build_table(gens)))
+    return items
 
 
-def _suite_oracle_equivalence(rng: random.Random) -> int:
-    checks = 0
-    for _ in range(40):
-        gens = _random_generating_set(rng)
-        table = semigroup.build_table(gens)
-        bound = table.frobenius + 2 * table.multiplicity
-        sieve = semigroup.brute_force_sieve(gens, bound)
-        xs = np.arange(bound + 1, dtype=np.int64)
-        agree = table.members(xs) == sieve.representable
-        assert bool(agree.all()), f"membership mismatch for {tuple(gens)}"
-        checks += int(agree.size)
-    return checks
+def _table(gens: Iterable[int]) -> semigroup.SemigroupTable:
+    return semigroup.build_table(semigroup.validate_generators(gens))
 
 
-def _suite_sylvester(rng: random.Random) -> int:
-    checks = 0
-    for a in range(2, 41):
-        for b in range(a + 1, 41):
-            if math.gcd(a, b) != 1:
-                continue
-            table = semigroup.build_table(semigroup.validate_generators((a, b)))
-            got = formulas.sylvester(a, b)
-            assert got == table.frobenius, f"sylvester({a},{b}) = {got} != {table.frobenius}"
-            checks += 1
-    return checks
+def sylvester_records(limit: int) -> list:
+    """(a, b, frobenius, genus) for every coprime pair 2 <= a < b <= limit."""
+    records = []
+    for a in range(2, limit + 1):
+        for b in range(a + 1, limit + 1):
+            if math.gcd(a, b) == 1:
+                table = _table((a, b))
+                records.append((a, b, table.frobenius, table.genus))
+    return records
 
 
-def _suite_progression(rng: random.Random) -> int:
-    checks = 0
-    for a in range(2, 31):
-        for d in range(1, 5):
+def progression_records(a_max: int, d_max: int) -> list:
+    """(a, d, w, frobenius, genus) for a <= a_max, d <= d_max coprime to a, w < a."""
+    records = []
+    for a in range(2, a_max + 1):
+        for d in range(1, d_max + 1):
             if math.gcd(a, d) != 1:
                 continue
             for w in range(1, a):
-                spec = formulas.ProgressionSpec(a, d, w)
-                table = semigroup.build_table(
-                    semigroup.validate_generators(spec.generators())
-                )
-                got = formulas.progression_frobenius(spec)
-                assert got == table.frobenius, (
-                    f"progression({a},{d},{w}) = {got} != {table.frobenius}"
-                )
-                checks += 1
+                table = _table(formulas.ProgressionSpec(a, d, w).generators())
+                records.append((a, d, w, table.frobenius, table.genus))
+    return records
+
+
+def geometric_family(b_max: int, k_max: int) -> list:
+    """(spec, table) for coprime 2 <= a < b <= b_max and 1 <= k <= k_max."""
+    items = []
+    for a in range(2, b_max + 1):
+        for b in range(a + 1, b_max + 1):
+            if math.gcd(a, b) == 1:
+                for k in range(1, k_max + 1):
+                    spec = formulas.GeometricSpec(a, b, k)
+                    items.append((spec, _table(spec.generators())))
+    return items
+
+
+def telescopic_family(seeds: Iterable[int]) -> list:
+    """(seed, gens, table) for a telescopic-mode key at each seed."""
+    items = []
+    for seed in seeds:
+        gens = keygen.generate_key(keygen.KeygenParams(seed=seed))
+        items.append((seed, gens, semigroup.build_table(gens)))
+    return items
+
+
+@dataclass(frozen=True)
+class ViableKey:
+    gens: semigroup.GeneratingSet
+    table: semigroup.SemigroupTable
+    index: codec.GapIndex
+    salt: codec.SaltSpec | None  # None when no generator pair clears F
+
+
+def viable_key(seed: int, mode: str) -> ViableKey:
+    """A keygen key with its table, gap index and salt."""
+    gens = keygen.generate_key(keygen.KeygenParams(seed=seed, mode=mode))
+    table = semigroup.build_table(gens)
+    pair = keygen.choose_salt_pair(gens, table)
+    salt = None if pair is None else codec.SaltSpec.from_generators(gens, *pair)
+    return ViableKey(gens, table, codec.build_gap_index(table), salt)
+
+
+def check_oracle(family: Sequence, rng: random.Random) -> int:
+    """Table membership equals brute_force_sieve's on [0, F + 2m], plus 3 scalar spots a set."""
+    checks = 0
+    for gens, table in family:
+        bound = table.frobenius + 2 * table.multiplicity
+        sieve = semigroup.brute_force_sieve(gens, bound)
+        xs = np.arange(bound + 1, dtype=np.int64)
+        if not np.array_equal(table.members(xs), sieve.representable):
+            raise AssertionError(f"disagreement on {tuple(gens)}")
+        for _ in range(3):
+            x = rng.randint(0, bound)
+            if table.is_member(x) != sieve.is_member(x):
+                raise AssertionError(f"scalar mismatch at {x}")
+        checks += len(xs) + 3
     return checks
 
 
-def _suite_geometric(rng: random.Random) -> int:
-    checks = 0
-    for a, b in ((2, 3), (2, 5), (3, 4), (3, 5)):
-        for k in range(1, 4):
-            spec = formulas.GeometricSpec(a, b, k)
-            table = semigroup.build_table(
-                semigroup.validate_generators(spec.generators())
-            )
-            got = formulas.geometric_frobenius(spec)
-            assert got == table.frobenius, (
-                f"geometric({a},{b},{k}) = {got} != {table.frobenius}"
-            )
-            checks += 1
-    # the tempting k=2 shortcut ab(a+b-1) must disagree with reality
-    assert formulas.geometric_frobenius(formulas.GeometricSpec(2, 3, 2)) == 11
-    assert 2 * 3 * (2 + 3 - 1) == 24
-    return checks + 1
+def check_sylvester(records: Sequence) -> int:
+    """sylvester(a, b) is the table's Frobenius number on every pair."""
+    for a, b, frobenius, _genus in records:
+        got = formulas.sylvester(a, b)
+        if got != frobenius:
+            raise AssertionError(f"sylvester({a}, {b}) = {got} != {frobenius}")
+    return len(records)
 
 
-def _suite_telescopic_symmetry(rng: random.Random) -> int:
-    checks = 0
-    for _ in range(8):
-        params = keygen.KeygenParams(
-            seed=rng.getrandbits(63), n_elements=3, base_min=60, base_max=240
-        )
-        gens = keygen.generate_key(params)
-        table = semigroup.build_table(gens)
-        assert semigroup.is_telescopic(gens), f"{tuple(gens)} not telescopic"
-        assert table.is_symmetric(), f"{tuple(gens)} not symmetric"
-        checks += 1
-    return checks
+def check_progressions(records: Sequence) -> int:
+    """progression_frobenius is the table's Frobenius number on every (a, d, w)."""
+    for a, d, w, frobenius, _genus in records:
+        got = formulas.progression_frobenius(formulas.ProgressionSpec(a, d, w))
+        if got != frobenius:
+            raise AssertionError(f"progression {(a, d, w)} = {got} != {frobenius}")
+    return len(records)
 
 
-def _suite_codec_round_trip(rng: random.Random) -> int:
-    checks = 0
-    for params in (
-        keygen.KeygenParams(seed=rng.getrandbits(63), mode="appendix-c"),
-        keygen.KeygenParams(seed=rng.getrandbits(63), n_elements=3, base_min=60, base_max=240),
-    ):
-        gens = keygen.generate_key(params)
-        table = semigroup.build_table(gens)
-        index = codec.build_gap_index(table)
-        pair = keygen.choose_salt_pair(gens, table)
-        for _ in range(10):
-            payload = rng.randbytes(rng.randint(0, 256))
-            stream = codec.encode_message(payload, index, rng)
-            assert codec.decode_message(stream) == payload
-            assert codec.verify_stream(stream, table).all()
-            if pair is not None:
-                spec = codec.SaltSpec.from_generators(gens, *pair)
-                salted = codec.salt_stream(stream, spec, rng)
-                assert codec.decode_message(salted) == payload
-                assert np.array_equal(codec.desalt_stream(salted).values, stream.values)
-            checks += 1
-    return checks
+def check_geometric(family: Sequence) -> int:
+    """geometric_frobenius is the table's Frobenius number on every spec."""
+    for spec, table in family:
+        got = formulas.geometric_frobenius(spec)
+        if got != table.frobenius:
+            raise AssertionError(f"{spec} = {got} != {table.frobenius}")
+    return len(family)
 
 
-def _suite_bounds(rng: random.Random) -> int:
-    checks = 0
-    for _ in range(30):
-        gens = _random_generating_set(rng)
-        table = semigroup.build_table(gens)
+def check_geometric_shortcut() -> tuple[int, int]:
+    """(shortcut, true F) at (a, b, k) = (2, 3, 2).
+
+    The tempting k = 2 shortcut ab(a+b-1) must disagree with the sieve's
+    largest gap, which the power-sum closed form must match.
+    """
+    spec = formulas.GeometricSpec(2, 3, 2)
+    sieve = semigroup.brute_force_sieve(semigroup.validate_generators(spec.generators()), 64)
+    true = int(np.flatnonzero(~sieve.representable).max())
+    shortcut = spec.a * spec.b * (spec.a + spec.b - 1)
+    if formulas.geometric_frobenius(spec) != true:
+        raise AssertionError(f"{spec}: closed form != sieve {true}")
+    if shortcut == true:
+        raise AssertionError(f"shortcut {shortcut} agrees with the sieve")
+    return shortcut, true
+
+
+def check_genus_bound(frobenius: int, genus: int) -> None:
+    """At most one of z and F - z is in S, so at least half of [0, F] are gaps."""
+    if 2 * genus < frobenius + 1:
+        raise AssertionError(f"genus {genus} below (F + 1)/2 at F = {frobenius}")
+
+
+def check_symmetry(table: semigroup.SemigroupTable) -> bool:
+    """is_symmetric <=> genus = (F+1)/2 <=> gap density 1/2 <=> (z in S iff F - z not).
+
+    The last is the definition, scanned over [0, F].  Returns is_symmetric.
+    """
+    sym = table.is_symmetric()
+    label = tuple(table.generators)
+    check_genus_bound(table.frobenius, table.genus)
+    if (2 * table.genus == table.frobenius + 1) != sym:
+        raise AssertionError(f"genus identity broke on {label}")
+    if (analysis.gap_density(table) == Fraction(1, 2)) != sym:
+        raise AssertionError(f"density identity broke on {label}")
+    mem = table.members(np.arange(table.frobenius + 1, dtype=np.int64))
+    if bool(np.all(mem != mem[::-1])) != sym:
+        raise AssertionError(f"pairing scan broke on {label}")
+    return sym
+
+
+def check_telescopic(family: Sequence) -> int:
+    """Every telescopic-mode key is telescopic, hence symmetric."""
+    for seed, gens, table in family:
+        if not semigroup.is_telescopic(gens):
+            raise AssertionError(f"seed {seed} not telescopic")
+        if not table.is_symmetric():
+            raise AssertionError(f"seed {seed} not symmetric")
+    return len(family)
+
+
+def check_round_trip(key: ViableKey, payload: bytes, rng: random.Random, salt: bool = False) -> int:
+    """Encode, verify, decode; salted too if asked.  Returns the number of values.
+
+    Every value is a gap carrying its nibble as its residue mod 16, and
+    the stream decodes to the payload; salted, it still decodes, and
+    desalts to the plain stream.  Draws from rng as encode_message, then
+    salt_stream, do.
+    """
+    stream = codec.encode_message(payload, key.index, rng)
+    if not codec.verify_stream(stream, key.table).all():
+        raise AssertionError("member value emitted")
+    nibbles = np.frombuffer(payload, dtype=np.uint8)
+    expected = np.stack((nibbles >> 4, nibbles & 0xF), axis=1).ravel()
+    if not np.array_equal(stream.values % 16, expected):
+        raise AssertionError("residue mismatch")
+    if codec.decode_message(stream) != payload:
+        raise AssertionError(f"{len(payload)} B payload corrupted")
+    if salt:
+        salted = codec.salt_stream(stream, key.salt, rng)
+        if codec.decode_message(salted) != payload:
+            raise AssertionError("salted payload corrupted")
+        if not np.array_equal(codec.desalt_stream(salted).values, stream.values):
+            raise AssertionError("desalt did not invert salt")
+    return len(stream)
+
+
+def check_codec(
+    keys: Sequence[ViableKey], rng: random.Random, count: int, max_bytes: int
+) -> tuple[int, int]:
+    """(salted, plain) round trips of `count` payloads up to max_bytes.
+
+    Payload i goes to key i mod len(keys), salted when i is odd and the
+    key has a salt pair.
+    """
+    salted = 0
+    for i in range(count):
+        key = keys[i % len(keys)]
+        payload = rng.randbytes(rng.randint(0, max_bytes))
+        salt = bool(i % 2) and key.salt is not None
+        check_round_trip(key, payload, rng, salt)
+        salted += salt
+    return salted, count - salted
+
+
+def check_bounds(minimal: Sequence[int], frobenius: int, genus: int) -> int:
+    """Wilf's bound, and Davison's for three minimal generators; 1 if Davison's ran."""
+    if not formulas.wilf_check(len(minimal), frobenius, genus).holds:
+        raise AssertionError(f"wilf fails on {tuple(minimal)}")
+    if len(minimal) != 3:
+        return 0
+    if not formulas.davison_check(*sorted(minimal), frobenius).holds:
+        raise AssertionError(f"davison fails on {tuple(minimal)}")
+    return 1
+
+
+def _geometric(rng: random.Random) -> int:
+    check_geometric_shortcut()
+    return check_geometric(geometric_family(5, 3)) + 1
+
+
+def _codec(rng: random.Random) -> int:
+    keys = [viable_key(rng.getrandbits(63), mode) for mode in keygen.MODES]
+    return sum(check_codec(keys, rng, 20, 256))
+
+
+def _bounds(rng: random.Random) -> int:
+    family = random_family(rng, 30, 120)
+    davison = 0
+    for gens, table in family:
+        check_symmetry(table)
         minimal = semigroup.minimal_generators(gens)
-        wilf = formulas.wilf_check(len(minimal), table.frobenius, table.genus)
-        assert wilf.holds, f"wilf fails on {tuple(gens)}"
-        if len(minimal) == 3:
-            a1, a2, a3 = minimal.elements
-            dav = formulas.davison_check(a1, a2, a3, table.frobenius)
-            assert dav.holds, f"davison fails on {tuple(minimal)}"
-        density = analysis.gap_density(table)
-        assert (density == 0.5) == table.is_symmetric()
-        checks += 1
-    return checks
+        davison += check_bounds(minimal, table.frobenius, table.genus)
+    return 2 * len(family) + davison  # symmetry and Wilf on every set, Davison on triples
 
 
 _SUITES: tuple[tuple[str, Callable[[random.Random], int]], ...] = (
-    ("oracle-equivalence", _suite_oracle_equivalence),
-    ("sylvester-cross-check", _suite_sylvester),
-    ("progression-cross-check", _suite_progression),
-    ("geometric-cross-check", _suite_geometric),
-    ("telescopic-symmetry", _suite_telescopic_symmetry),
-    ("codec-round-trip", _suite_codec_round_trip),
-    ("bound-checks", _suite_bounds),
+    ("oracle-equivalence", lambda rng: check_oracle(random_family(rng, 40, 120), rng)),
+    ("sylvester-cross-check", lambda rng: check_sylvester(sylvester_records(40))),
+    ("progression-cross-check", lambda rng: check_progressions(progression_records(30, 4))),
+    ("geometric-cross-check", _geometric),
+    (
+        "telescopic-symmetry",
+        lambda rng: check_telescopic(telescopic_family(rng.getrandbits(63) for _ in range(8))),
+    ),
+    ("codec-round-trip", _codec),
+    ("bound-checks", _bounds),
 )
 
 

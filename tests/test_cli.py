@@ -4,8 +4,12 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,18 +18,23 @@ from hypothesis import strategies as st
 
 from gapstego import (
     KeyFile,
+    KeygenParams,
     SaltSpec,
     SemigroupTable,
     analysis,
+    brute_force_sieve,
     build_gap_index,
     build_table,
     cli,
     codec,
     encode_message,
     formats,
+    formulas,
+    generate_key,
     parse_key,
     parse_stream,
     salt_stream,
+    semigroup,
     serialize_key,
     serialize_stream,
     validate_generators,
@@ -91,6 +100,24 @@ class TestKeygen:
         assert main(["keygen", "--out", str(out), "--n-elements", "2"]) == 0
         key = parse_key(out.read_text())
         assert 0 <= key.seed < 2**64
+
+    @pytest.mark.parametrize(
+        "argv", [["--seed", "1"], ["--seed", "7", "--mode", "appendix-c"], ["--n-elements", "3"]]
+    )
+    def test_file_reproduces_its_generators(self, tmp_path, argv):
+        out = tmp_path / "r.key"
+        assert main(["keygen", *argv, "--out", str(out)]) == 0
+        key = parse_key(out.read_text())
+        params = KeygenParams(seed=key.seed, mode=key.mode, n_elements=len(key.generators))
+        assert generate_key(params) == key.generators
+
+    def test_modulus_option_removed(self, tmp_path, capsys):
+        out = tmp_path / "m.key"
+        with pytest.raises(SystemExit) as exc:
+            main(["keygen", "--seed", "1", "--modulus", "100000", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--modulus" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInspect:
@@ -552,6 +579,16 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(stream)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "decode"])
+    def test_missing_key_reported_before_bad_stream(self, tmp_path, capsys, command):
+        stream = tmp_path / "bad.txt"
+        stream.write_text("1\nnot a value\n")
+        missing = tmp_path / "missing.key"
+        assert main([command, "--in", str(stream), "--key", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err
+        assert "not a value" not in err
+
 
 # stream texts: good, malformed and extreme values, with and without a salt header
 fuzz_values = st.one_of(
@@ -615,6 +652,19 @@ class TestStreamReadersFuzz:
             assert err.getvalue()
 
 
+# one fault per selftest suite, in a subject that no other suite calls
+SUITE_FAULTS = [
+    ("oracle-equivalence", semigroup, "brute_force_sieve",
+     lambda gens, bound: brute_force_sieve(gens, bound + 1)),
+    ("sylvester-cross-check", formulas, "sylvester", lambda a, b: 0),
+    ("progression-cross-check", formulas, "progression_frobenius", lambda spec: 0),
+    ("geometric-cross-check", formulas, "geometric_frobenius", lambda spec: 0),
+    ("telescopic-symmetry", semigroup, "is_telescopic", lambda gens: False),
+    ("codec-round-trip", codec, "decode_message", lambda stream: b"?"),
+    ("bound-checks", formulas, "wilf_check", lambda *args: mock.Mock(holds=False)),
+]
+
+
 class TestSelftest:
     def test_cli_passes(self, capsys):
         assert main(["selftest", "--seed", "0"]) == 0
@@ -628,11 +678,26 @@ class TestSelftest:
         main(["selftest", "--seed", "42"])
         assert capsys.readouterr().out == first
 
-    def test_injected_fault_names_suite(self, monkeypatch):
-        import gapstego.formulas as formulas_mod
-
-        monkeypatch.setattr(formulas_mod, "sylvester", lambda a, b: 0)
+    @pytest.mark.parametrize(
+        "suite, module, name, fault", SUITE_FAULTS, ids=[f[0] for f in SUITE_FAULTS]
+    )
+    def test_injected_fault_names_suite(self, monkeypatch, suite, module, name, fault):
+        monkeypatch.setattr(module, name, fault)
         lines = []
         assert run_selftest(seed=0, echo=lines.append) is False
-        assert any("FAIL sylvester-cross-check" in ln for ln in lines)
-        assert any("--seed 0" in ln for ln in lines)
+        failed = [ln for ln in lines if ln.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith(f"FAIL {suite} (reproduce with --seed 0)")
+        assert lines[-1] == "selftest FAILED"
+
+    def test_fault_caught_without_asserts(self):
+        code = (
+            "import sys, gapstego.formulas as f; f.sylvester = lambda a, b: 0;"
+            " from gapstego.cli import main; sys.exit(main(['selftest']))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 1
+        assert "FAIL sylvester-cross-check" in done.stdout
