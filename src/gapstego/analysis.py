@@ -10,7 +10,7 @@ functions are evaluated at runtime.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,6 +36,8 @@ _CHI2_CRIT_05 = (
     66.339, 67.505, 68.669, 69.832, 70.993, 72.153, 73.311, 74.468,
     75.624, 76.778, 77.931, 79.082, 80.232, 81.381, 82.529,
 )
+# The largest modulus a residue screen takes: its df, modulus - 1, is tabulated.
+MAX_MODULUS = len(_CHI2_CRIT_05) + 1
 
 
 def chi2_critical(df: int) -> float:
@@ -65,24 +67,23 @@ def residue_histogram(table: SemigroupTable, modulus: int) -> np.ndarray:
 class ResidueTally:
     """Stream values counted per residue class mod `modulus`, added a chunk at a time.
 
-    Only a modulus the chi-square table covers is counted per class; for
-    any other, counts stays None, as no test can be made.
+    The modulus must lie in [2, MAX_MODULUS], where the chi-square table
+    has a critical value; any other is refused when the tally is made.
     """
 
     modulus: int
     n_values: int = 0
-    counts: np.ndarray | None = None
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if 1 <= self.modulus - 1 <= len(_CHI2_CRIT_05):
-            self.counts = np.zeros(self.modulus, dtype=np.int64)
+        if not 2 <= self.modulus <= MAX_MODULUS:
+            raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {self.modulus}")
+        self.counts = np.zeros(self.modulus, dtype=np.int64)
 
     def add(self, values: "np.ndarray | Sequence[int]") -> None:
         # stream values run up to 2**64 - 1, past int64, so reduce them as uint64
         values = np.asarray(values, dtype=np.uint64)
         self.n_values += len(values)
-        if self.counts is None:
-            return
         for i in range(0, len(values), CHUNK_VALUES):
             residues = values[i : i + CHUNK_VALUES] % np.uint64(self.modulus)
             self.counts += np.bincount(residues.view(np.int64), minlength=self.modulus)

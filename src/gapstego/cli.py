@@ -22,7 +22,7 @@ from typing import BinaryIO, ContextManager, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import ResidueTally, build_report, gap_density
+from .analysis import MAX_MODULUS, ResidueTally, build_report, gap_density
 from .codec import (
     CHUNK_VALUES,
     DEFAULT_MODULUS,
@@ -120,6 +120,8 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    if not 1 <= args.modulus <= MAX_MODULUS:
+        raise ValueError(f"modulus must be in [1, {MAX_MODULUS}], got {args.modulus}")
     key = _load_key(args.key)
     table = build_table(key.generators)
     minimal = minimal_generators(key.generators)
@@ -223,10 +225,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {args.modulus}")
-    key = _load_key(args.key) if args.key else None
     tally = ResidueTally(args.modulus)
+    key = _load_key(args.key) if args.key else None
     with _open_in(args.input) as src:
         for chunk in _read_stream(src):
             tally.add(chunk.values)

@@ -17,18 +17,20 @@ Stream file::
     <one decimal value per line>
 
 A number is a token of ASCII digits, [0-9]+, and at most 2**64 - 1.
-Stream lines end in \n, \r\n or \r; spaces and tabs around a token
-and blank lines are allowed.  Parsing is strict: unknown lines, bad
-numbers or out-of-range values raise FormatError rather than being
-skipped, and the first bad line in the file is the one named.
+Both files share one line grammar: lines end in \n, \r\n or \r, the
+fields of a line are separated by blanks (spaces and tabs), and blanks
+around them and blank lines are allowed.  Parsing is strict: unknown
+lines, bad numbers or out-of-range values raise FormatError rather than
+being skipped, and the first bad line in the file is the one named.
 
 A stream is read and written as ASCII bytes, a chunk at a time:
 line_chunks cuts a stream file into CHUNK_BYTES or so of whole lines,
 parse_stream parses such a chunk (or a whole text, chunk by chunk, into
-one preallocated array) and serialize_stream formats CHUNK_VALUES values
-at a time.  A stream is handled one chunk after another by passing the
-chunk before as `after`: its text then has no header, and a parsed chunk
-takes the period of the header the stream began with.
+one preallocated array) and serialize_stream joins the text of
+CHUNK_VALUES values at a time.  A stream is handled one chunk after
+another by passing the chunk before as `after`: its text then has no
+header, and a parsed chunk takes the period of the header the stream
+began with.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .codec import CHUNK_VALUES, CipherStream
 from .errors import FormatError, GapstegoError
 from .keygen import MODES
-from .semigroup import GeneratingSet, validate_generators
+from .semigroup import GeneratingSet, check_limits, validate_generators
 
 KEY_MAGIC = "frobkey/1"
 # Stream text is read and parsed this many bytes (of whole lines) at a time.
@@ -53,6 +55,8 @@ _U64_MAX = 2**64 - 1
 _TOKEN = re.compile("[0-9]+")
 _BLANKS = " \t"
 _LINE_BREAKS = "\r\n"
+_LINE_END = re.compile("\r\n|\r|\n")
+_BLANK_RUN = re.compile(f"[{_BLANKS}]+")
 _SPACE = f"{_BLANKS}{_LINE_BREAKS}".encode()
 _HEADER = re.compile(f"[{_BLANKS}{_LINE_BREAKS}]*salt[^{_LINE_BREAKS}]*".encode())
 # 2**64 - 1 has 20 digits: a longer token is in range only when zero-padded
@@ -69,7 +73,6 @@ class KeyFile:
     mode: str
     seed: int
     salt_pair: tuple[int, int] | None = None
-    format_version: int = 1
 
 
 def serialize_key(key: KeyFile) -> str:
@@ -89,21 +92,26 @@ def _parse_uint(text: str, what: str, maximum: int = _U64_MAX) -> int:
     return value
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of one line of a key or stream: the runs between its blanks."""
+    return _BLANK_RUN.split(line.strip(_BLANKS))
+
+
 def parse_key(text: str) -> KeyFile:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip(_BLANKS) for ln in _LINE_END.split(text) if ln.strip(_BLANKS)]
     if not lines or lines[0] != KEY_MAGIC:
         raise FormatError(f"key file must start with {KEY_MAGIC!r}")
     if len(lines) < 3:
         raise FormatError("key file truncated before the seed line")
 
-    mode_parts = lines[1].split()
+    mode_parts = _fields(lines[1])
     if len(mode_parts) != 2 or mode_parts[0] != "mode":
         raise FormatError(f"line 2 must be 'mode <tag>', got {lines[1]!r}")
     mode = mode_parts[1]
     if mode not in MODES:
         raise FormatError(f"unknown mode {mode!r}, expected one of {MODES}")
 
-    seed_parts = lines[2].split()
+    seed_parts = _fields(lines[2])
     if len(seed_parts) != 2 or seed_parts[0] != "seed":
         raise FormatError(f"line 3 must be 'seed <u64>', got {lines[2]!r}")
     seed = _parse_uint(seed_parts[1], "seed")
@@ -111,7 +119,7 @@ def parse_key(text: str) -> KeyFile:
     rest = lines[3:]
     salt_pair = None
     if rest and rest[0].startswith("salt-pair"):
-        pair_parts = rest[0].split()
+        pair_parts = _fields(rest[0])
         if len(pair_parts) != 3:
             raise FormatError(f"salt-pair line needs two indices, got {rest[0]!r}")
         i = _parse_uint(pair_parts[1], "salt-pair index")
@@ -124,6 +132,7 @@ def parse_key(text: str) -> KeyFile:
     raw = [_parse_uint(ln, "generator") for ln in rest]
     try:
         gens = validate_generators(raw)
+        check_limits(gens.elements)
     except GapstegoError as exc:
         raise FormatError(f"invalid generators: {exc}") from exc
     if len(gens) != len(raw) or list(gens) != raw:
@@ -141,33 +150,17 @@ def serialize_stream(stream: CipherStream, after: CipherStream | None = None) ->
     With `after`, the text follows that of the chunk `after` of the same
     stream, so it has no header.
     """
-    header = f"salt {stream.salt_period}\n" if stream.salted and after is None else ""
+    # join returns a lone part as it is: one chunk with no header is not copied
+    header = [f"salt {stream.salt_period}\n"] if stream.salted and after is None else []
     values = stream.values
-    if len(values) <= CHUNK_VALUES:
-        return header + _format_values(values).tobytes().decode("ascii")
-    starts = range(0, len(values), CHUNK_VALUES)
-    # every value takes its digits and a line break
-    size = len(header) + len(values)
-    size += sum(int(_digit_counts(values[i : i + CHUNK_VALUES]).sum()) for i in starts)
-    text = bytearray(size)
-    text[: len(header)] = header.encode()
-    out = np.frombuffer(text, dtype=np.uint8)
-    at = len(header)
-    for i in starts:
-        rows = _format_values(values[i : i + CHUNK_VALUES])
-        out[at : at + len(rows)] = rows
-        at += len(rows)
-    return text.decode("ascii")
-
-
-def _digit_counts(values: np.ndarray) -> np.ndarray:
-    return np.searchsorted(_POW10, values, side="right") + 1
+    chunks = (values[i : i + CHUNK_VALUES] for i in range(0, len(values), CHUNK_VALUES))
+    return "".join([*header, *(_format_values(c).tobytes().decode("ascii") for c in chunks)])
 
 
 def _format_values(values: np.ndarray) -> np.ndarray:
     """The ASCII lines of some values, each its digits and a line break."""
     # one row per value: its digits right-aligned, then a line break
-    lengths = _digit_counts(values)
+    lengths = np.searchsorted(_POW10, values, side="right") + 1
     width = int(lengths.max(initial=0))
     rows = np.empty((len(values), width + 1), dtype=np.uint8)
     rest, digit = values.copy(), np.empty_like(values)
@@ -193,7 +186,7 @@ def parse_stream(data: bytes | str, after: CipherStream | None = None) -> Cipher
     if header:
         raw = header.group().strip(_SPACE)
         line = _line_text(raw, "salt header")
-        parts = re.split(f"[{_BLANKS}]+", line)
+        parts = _fields(line)
         if len(parts) != 2 or parts[0] != "salt":
             raise FormatError(f"salt header must be 'salt <L>', got {line!r}")
         salt_period = _parse_uint(parts[1], "salt period")

@@ -32,6 +32,7 @@ from .semigroup import (
 )
 
 MODES = ("appendix-c", "telescopic")
+# Single draws generate_key makes before it gives up.
 RETRY_BUDGET = 10_000
 # "comparable magnitude" cap: no generator may exceed 8x the smallest.
 RATIO_CAP = 8
@@ -77,11 +78,12 @@ def check_viability(table: SemigroupTable, modulus: int) -> KeyViability:
 
 
 def generate_key(params: KeygenParams) -> GeneratingSet:
-    """Draw keys until one passes validation plus per-class viability.
+    """Draw candidates until one passes validation plus per-class viability.
 
-    Deterministic in params.seed.  Raises ViabilityFailure when the retry
-    budget runs out, which signals ranges too narrow to ever work rather
-    than bad luck.
+    Deterministic in params.seed.  Each of the RETRY_BUDGET attempts is one
+    draw; one that dead-ends or leaves a residue class empty uses up its
+    attempt.  Raises ViabilityFailure when the budget runs out, which
+    signals ranges too narrow to ever work rather than bad luck.
     """
     rng = random.Random(params.seed)
     draw = _draw_appendix_c if params.mode == "appendix-c" else _draw_telescopic
@@ -108,67 +110,58 @@ def generate_key(params: KeygenParams) -> GeneratingSet:
 
 
 def _draw_appendix_c(rng: random.Random, params: KeygenParams) -> list[int] | None:
-    # coprime pair, then pad with c1*first + c2*last sums (all redundant
-    # by construction, so the semigroup is the pair's)
-    for _ in range(RETRY_BUDGET):
-        a = rng.randint(params.base_min, params.base_max)
-        b = a + rng.randint(1, params.spread_max)
-        if math.gcd(a, b) != 1:
-            continue
-        key = [a, b]
-        stuck = 0
-        while len(key) < params.n_elements and stuck < 1000:
-            nxt = rng.randint(1, 3) * key[0] + rng.randint(1, 3) * key[-1]
-            if nxt in key:
-                stuck += 1
-                continue
-            key.append(nxt)
-        if len(key) == params.n_elements:
-            return key
-    return None
+    """A coprime pair padded with c1*first + c2*last sums, or None when the
+    pair is not coprime.
+
+    Each sum exceeds the last element, so the padding never repeats one, and
+    all of it is redundant by construction: the semigroup is the pair's.
+    """
+    a = rng.randint(params.base_min, params.base_max)
+    b = a + rng.randint(1, params.spread_max)
+    if math.gcd(a, b) != 1:
+        return None
+    key = [a, b]
+    while len(key) < params.n_elements:
+        key.append(rng.randint(1, 3) * key[0] + rng.randint(1, 3) * key[-1])
+    return key
 
 
 def _draw_telescopic(rng: random.Random, params: KeygenParams) -> list[int] | None:
     """One telescopic candidate, or None when this draw dead-ends.
 
-    a1 is drawn until it has at least n-1 prime factors; the factors are
+    a1 is drawn and must have at least n-1 prime factors; the factors are
     shuffled and cut into n-1 groups whose products step the divisor
     chain d1 > d2 > ... > dn = 1 down to 1.  Each new element is di * si
     with si a member of the prefix semigroup scaled by d(i-1), coprime to
     the chain step, drawn by rejection inside the magnitude cap.
     """
     n = params.n_elements
-    for _ in range(100):
-        a1 = rng.randint(params.base_min, params.base_max)
-        factors = _prime_factors(a1)
-        if len(factors) < n - 1:
-            continue
-        rng.shuffle(factors)
-        steps = _grouped_products(rng, factors, n - 1)
-        seq = [a1]
-        d_prev = a1
-        for step in steps:
-            d_i = d_prev // step
-            lo = seq[-1] // d_i + 1
-            hi = (RATIO_CAP * a1) // d_i
-            s = _draw_scaled_member(
-                rng,
-                tuple(x // d_prev for x in seq),
-                lo,
-                hi,
-                coprime_to=step,
-            )
-            if s is None:
-                break
-            seq.append(d_i * s)
-            d_prev = d_i
-        else:
-            if len(set(seq)) != n:
-                continue
-            gens = validate_generators(seq)
-            if is_telescopic(gens):
-                return seq
-    return None
+    a1 = rng.randint(params.base_min, params.base_max)
+    factors = _prime_factors(a1)
+    if len(factors) < n - 1:
+        return None
+    rng.shuffle(factors)
+    steps = _grouped_products(rng, factors, n - 1)
+    seq = [a1]
+    d_prev = a1
+    for step in steps:
+        d_i = d_prev // step
+        lo = seq[-1] // d_i + 1
+        hi = (RATIO_CAP * a1) // d_i
+        s = _draw_scaled_member(
+            rng,
+            tuple(x // d_prev for x in seq),
+            lo,
+            hi,
+            coprime_to=step,
+        )
+        if s is None:
+            return None
+        seq.append(d_i * s)
+        d_prev = d_i
+    if len(set(seq)) != n or not is_telescopic(validate_generators(seq)):
+        return None
+    return seq
 
 
 def _prime_factors(x: int) -> list[int]:

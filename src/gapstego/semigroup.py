@@ -146,6 +146,14 @@ def class_gaps(m: int, modulus: int, v: int, i: np.ndarray, k: np.ndarray | int 
     return v % g + i * g + (j0 + k * c) * m
 
 
+def check_limits(elems: Sequence[int]) -> None:
+    """Raise LimitError unless a table can be built for these increasing generators."""
+    if elems[0] > MAX_MULTIPLICITY:
+        raise LimitError(f"multiplicity {elems[0]} exceeds the table limit {MAX_MULTIPLICITY}")
+    if elems[-1] > MAX_GENERATOR:
+        raise LimitError(f"generator {elems[-1]} exceeds the limit {MAX_GENERATOR}")
+
+
 @functools.lru_cache(maxsize=1)
 def _round_robin(elems: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...], bool]:
     """Table, minimal generators and telescopic verdict of increasing elems.
@@ -155,12 +163,8 @@ def _round_robin(elems: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...], b
     a can never lower, so one running minimum of n[r] - k*a along it gives
     the new entries.  The last key's result is kept, its table read-only.
     """
+    check_limits(elems)
     m = elems[0]
-    if m > MAX_MULTIPLICITY:
-        raise LimitError(f"multiplicity {m} exceeds the table limit {MAX_MULTIPLICITY}")
-    if elems[-1] > MAX_GENERATOR:
-        raise LimitError(f"generator {elems[-1]} exceeds the limit {MAX_GENERATOR}")
-
     n = np.full(m, _UNREACHED, dtype=np.int64)
     n[0] = 0
     minimal = [m]

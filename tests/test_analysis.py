@@ -26,6 +26,7 @@ from gapstego import (
     window_bernoulli,
     window_gap_fraction,
 )
+from gapstego.analysis import MAX_MODULUS
 
 
 def small_sets():
@@ -121,10 +122,18 @@ class TestChiSquare:
         assert build_report(tally, modulus) == build_report(CipherStream(values), modulus)
 
     @pytest.mark.parametrize("modulus", [1, 65, 2**64])
-    def test_tally_counts_nothing_past_the_table(self, modulus):
+    def test_tally_refuses_modulus_past_the_table(self, modulus):
+        with pytest.raises(ValueError, match=f"got {modulus}$"):
+            ResidueTally(modulus)
+
+    @pytest.mark.parametrize("modulus", [2, MAX_MODULUS])
+    def test_tally_counts_at_the_table_ends(self, modulus):
+        values = [1, 2, 2**64 - 1]
         tally = ResidueTally(modulus)
-        tally.add([1, 2, 2**64 - 1])
-        assert tally.n_values == 3 and tally.counts is None
+        tally.add(values)
+        assert tally.n_values == 3
+        assert tally.counts.tolist() == [sum(v % modulus == c for v in values)
+                                         for c in range(modulus)]
 
     def test_tally_modulus_must_match(self):
         tally = ResidueTally(16)

@@ -173,6 +173,16 @@ class TestInspect:
         assert captured.out == ""
         assert "modulus" in captured.err
 
+    @pytest.mark.parametrize("modulus", ["65", "1000000", str(2**64)])
+    def test_modulus_past_the_table_refused_before_the_table(self, tmp_path, capsys,
+                                                             monkeypatch, modulus):
+        key = write_key(tmp_path, (5, 7))
+        monkeypatch.setattr(cli, "build_table", mock.Mock(side_effect=AssertionError))
+        assert main(["inspect", "--key", str(key), "--modulus", modulus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"got {modulus}" in captured.err
+
 
 class TestEncodeDecode:
     def round_trip(self, tmp_path, key_path, payload, salt=False, seed="5"):
@@ -565,13 +575,14 @@ class TestAnalyze:
         assert "n_values 160" in out
         assert "class_histogram 11,10,10,10,10,10,10,10,10,10,10,10,10,10,10,9" in out
 
-    @pytest.mark.parametrize("modulus", ["0", "-1"])
+    @pytest.mark.parametrize("modulus", ["0", "-1", "1", "65", str(2**64)])
     def test_bad_modulus_fails_before_reading(self, tmp_path, capsys, modulus):
         missing = tmp_path / "never-written.txt"
         assert main(["analyze", "--in", str(missing), "--modulus", modulus]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "modulus" in captured.err
+        assert f"got {modulus}" in captured.err
 
     def test_short_stream_rejected(self, tmp_path, capsys):
         stream = tmp_path / "s.txt"
@@ -588,6 +599,17 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert str(missing) in err
         assert "not a value" not in err
+
+    @pytest.mark.parametrize("command", [["analyze"], ["decode"], ["decode", "--verify"]])
+    def test_key_past_table_limit_reported_before_bad_stream(self, tmp_path, capsys, command):
+        key = write_key(tmp_path, (20000001, 20000003))
+        stream = tmp_path / "bad.txt"
+        stream.write_text("1\nx\n")
+        assert main([*command, "--in", str(stream), "--key", str(key)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "multiplicity 20000001 exceeds the table limit 10000000" in captured.err
+        assert "'x'" not in captured.err
 
 
 # stream texts: good, malformed and extreme values, with and without a salt header

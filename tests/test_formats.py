@@ -90,6 +90,33 @@ class TestKeyFormat:
         with pytest.raises(FormatError):
             parse_key(f"frobkey/1\nmode telescopic\nseed {big}\n5\n7\n")
 
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("blank", [" ", "\t", " \t "])
+    def test_stream_line_grammar_accepted(self, brk, blank):
+        lines = ["frobkey/1", f"mode{blank}appendix-c", f"seed{blank}42", f"{blank}5{blank}", "7"]
+        assert parse_key(brk.join(lines) + brk) == key_fixture()
+
+    # lines break at \n, \r\n or \r only and blanks are space and tab, as in a stream
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "frobkey/1\nmode telescopic\nseed 0\n5\x0c7\n",
+            "frobkey/1\nmode telescopic\nseed\u30001\n5\n7\n",
+            "frobkey/1\nmode telescopic\nseed 0\n\xa05\n7\n",
+            "frobkey/1\nmode telescopic\nseed 0\n5\x1c7\n",
+            "frobkey/1\nmode\x0btelescopic\nseed 0\n5\n7\n",
+            "frobkey/1\nmode telescopic\nseed 0\n5\n7\x85",
+            "frobkey/1\u2028mode telescopic\nseed 0\n5\n7\n",
+        ],
+    )
+    def test_other_space_refused(self, text):
+        with pytest.raises(FormatError):
+            parse_key(text)
+
+    def test_table_limit_refused(self):
+        with pytest.raises(FormatError, match="multiplicity 20000001 exceeds the table limit"):
+            parse_key("frobkey/1\nmode telescopic\nseed 0\n20000001\n20000003\n")
+
 
 class TestStreamFormat:
     def test_unsalted(self):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import math
+from unittest import mock
 
 import pytest
 
@@ -142,6 +144,17 @@ class TestPinnedKeys:
     def test_seed_gives_pinned_key(self, mode, seed, elements):
         assert generate_key(KeygenParams(seed=seed, mode=mode)).elements == elements
 
+    def test_grid_pinned(self):
+        # SHA-256 of the keys for seeds 0-19 at every n_elements from 2 to 10 in both modes
+        keys = [
+            generate_key(KeygenParams(seed=seed, n_elements=n, mode=mode)).elements
+            for mode in keygen_mod.MODES
+            for n in range(2, 11)
+            for seed in range(20)
+        ]
+        digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+        assert digest == "69fd7268fcf3484ba04398d2609c038b105bb34ad02d5bbca919d9c6a3511a0e"
+
 
 class TestViabilityFailure:
     def test_hopeless_ranges_diagnosed(self, monkeypatch):
@@ -152,6 +165,15 @@ class TestViabilityFailure:
         with pytest.raises(ViabilityFailure) as exc:
             generate_key(params)
         assert "class" in str(exc.value)
+
+    def test_budget_counts_single_attempts(self, monkeypatch):
+        # a1 <= 1000 never has the ten prime factors that 11 elements need,
+        # so each attempt draws and factors one a1
+        factor = mock.Mock(wraps=keygen_mod._prime_factors)
+        monkeypatch.setattr(keygen_mod, "_prime_factors", factor)
+        with pytest.raises(ViabilityFailure, match=f"in {keygen_mod.RETRY_BUDGET} attempts"):
+            generate_key(KeygenParams(seed=0, n_elements=11))
+        assert factor.call_count == keygen_mod.RETRY_BUDGET
 
     def test_is_runtime_error(self):
         assert issubclass(ViabilityFailure, RuntimeError)
