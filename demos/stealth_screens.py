@@ -15,12 +15,10 @@ from gapstego import (
     build_gap_index,
     build_report,
     build_table,
-    chi_square_uniformity,
     encode_message,
     gap_density,
     generate_key,
     residue_histogram,
-    window_bernoulli,
 )
 
 
@@ -31,41 +29,39 @@ def main() -> None:
     rng = random.Random(4)
 
     print(f"key generators: {tuple(gens)}   frobenius {table.frobenius}")
-    print(f"gap density on [0, F]: {gap_density(table)} (symmetric keys sit at 1/2)")
     print(f"gap counts by residue mod 16: {residue_histogram(table, 16).tolist()}")
 
     print()
     print("screen 1: chi-square on an honest stream of random payload bytes")
     payload = rng.randbytes(1000)
     stream = encode_message(payload, index, rng)
-    stat, reject = chi_square_uniformity(stream, 16)
-    print(f"  {len(stream)} values, statistic {stat:.2f}, reject uniformity: {reject}")
+    honest = build_report(stream, 16)
+    print(f"  {len(stream)} values, statistic {honest.chi_square:.2f},"
+          f" reject uniformity: {honest.reject_uniformity}")
 
     print()
     print("screen 2: the same test on a stream that reuses one class")
     gaps = table.gaps()
     lazy = [int(gaps[gaps % 16 == 3][0])] * 120
-    stat, reject = chi_square_uniformity(lazy, 16)
-    print(f"  {len(lazy)} values, statistic {stat:.2f}, reject uniformity: {reject}")
+    clumsy = build_report(lazy, 16)
+    print(f"  {len(lazy)} values, statistic {clumsy.chi_square:.2f},"
+          f" reject uniformity: {clumsy.reject_uniformity}")
     print("  a flat statistic needs all 16 residues; repetition lights up instantly")
 
     print()
-    print("screen 3: gap fraction in random windows of the integer line")
-    fractions = window_bernoulli(table, 2048, 6, random.Random(1))
-    print(f"  six windows of 2048: {['%.3f' % float(f) for f in fractions]}")
-    many = window_bernoulli(table, 2048, 400, random.Random(2))
-    mean = sum(many) / len(many)
-    print(f"  mean over 400 windows: {float(mean):.4f}")
-    print("  single windows swing hard (gaps crowd the low end), but mirror")
-    print("  symmetry pins the average at 1/2; a biased key would drift")
+    print("screen 3: gap density on [0, F], exact from the key")
+    print(f"  {table.genus} of the {table.frobenius + 1} integers in [0, F] are gaps:"
+          f" density {gap_density(table)}")
+    print("  symmetric keys sit at exactly 1/2, so the values fill half the range;")
+    print("  any other key sits above it, with more gaps than members")
 
     print()
-    print("bundled report (what the analyze command prints):")
-    report = build_report(stream, modulus=16, table=table)
+    print("bundled report (what the analyze command prints with --key):")
+    report = build_report(stream, modulus=16)
     print(f"  n_values {report.n_values}, chi_square {report.chi_square:.4f},"
           f" df {report.df}, reject {report.reject_uniformity}")
     print(f"  class histogram {list(report.class_histogram)}")
-    print(f"  density {report.gap_density}, windows {[str(f) for f in report.window_fractions]}")
+    print(f"  gap_density {gap_density(table)}")
 
 
 if __name__ == "__main__":

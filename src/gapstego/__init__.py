@@ -14,11 +14,8 @@ from .analysis import (
     ResidueTally,
     build_report,
     chi2_critical,
-    chi_square_uniformity,
     gap_density,
     residue_histogram,
-    window_bernoulli,
-    window_gap_fraction,
 )
 from .codec import (
     CipherStream,
@@ -51,7 +48,6 @@ from .errors import (
     OddLengthError,
     ValueExceedsPeriodError,
     ViabilityFailure,
-    WindowExceedsRangeError,
 )
 from .formats import (
     KeyFile,
@@ -124,14 +120,12 @@ __all__ = [
     "SemigroupTable",
     "ValueExceedsPeriodError",
     "ViabilityFailure",
-    "WindowExceedsRangeError",
     "brute_force_sieve",
     "build_gap_index",
     "build_report",
     "build_table",
     "check_viability",
     "chi2_critical",
-    "chi_square_uniformity",
     "choose_salt_pair",
     "davison_check",
     "decode_message",
@@ -157,6 +151,4 @@ __all__ = [
     "validate_generators",
     "verify_stream",
     "wilf_check",
-    "window_bernoulli",
-    "window_gap_fraction",
 ]

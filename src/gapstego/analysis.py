@@ -9,7 +9,6 @@ functions are evaluated at runtime.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -17,10 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .codec import CHUNK_VALUES, CipherStream
-from .errors import InsufficientSamplesError, WindowExceedsRangeError
+from .errors import InsufficientSamplesError
 from .semigroup import SemigroupTable
-
-SIGNIFICANCE = 0.05
 
 # Upper 5% points of the chi-square distribution for 1..63 degrees of
 # freedom, rounded to three decimals.  Frozen so the rejection rule stays
@@ -89,82 +86,12 @@ class ResidueTally:
             self.counts += np.bincount(residues.view(np.int64), minlength=self.modulus)
 
 
-def _pearson(
-    stream: "CipherStream | Sequence[int] | ResidueTally", modulus: int
-) -> tuple[ResidueTally, float, bool]:
-    """The tally, Pearson statistic and verdict; the modulus is checked before the statistic."""
-    tally = stream
-    if not isinstance(tally, ResidueTally):
-        tally = ResidueTally(modulus)
-        tally.add(getattr(stream, "values", stream))
-    elif tally.modulus != modulus:
-        raise ValueError(f"values were counted mod {tally.modulus}, not mod {modulus}")
-    n = tally.n_values
-    if n < 5 * modulus:
-        raise InsufficientSamplesError(
-            f"need at least {5 * modulus} values for modulus {modulus}, got {n}"
-        )
-    critical = chi2_critical(modulus - 1)
-    expected = n / modulus
-    statistic = float(((tally.counts - expected) ** 2 / expected).sum())
-    return tally, statistic, statistic > critical
-
-
-def chi_square_uniformity(
-    stream: CipherStream | Sequence[int] | ResidueTally, modulus: int
-) -> tuple[float, bool]:
-    """Pearson test of the stream residues against the uniform law.
-
-    Returns (statistic, reject) where reject means the uniformity
-    hypothesis fails at the 5% level.  Needs at least 5 * modulus values
-    so the usual expected-count rule of thumb holds.
-    """
-    _, statistic, reject = _pearson(stream, modulus)
-    return statistic, reject
-
-
-def window_gap_fraction(table: SemigroupTable, start: int, window_len: int) -> Fraction:
-    """Share of gaps among the window_len integers starting at start."""
-    if window_len < 1:
-        raise ValueError(f"window_len must be >= 1, got {window_len}")
-    xs = np.arange(start, start + window_len, dtype=np.int64)
-    gaps_inside = window_len - int(table.members(xs).sum())
-    return Fraction(gaps_inside, window_len)
-
-
-def window_bernoulli(
-    table: SemigroupTable, window_len: int, trials: int, rng: random.Random
-) -> list[Fraction]:
-    """Gap fractions over `trials` windows placed uniformly inside [0, F].
-
-    For a symmetric table the window at start s and its mirror at
-    F - s - window_len + 1 have fractions summing to 1, so the sampling
-    distribution is centered on 1/2; individual windows still swing
-    widely, since gaps crowd the low end and members the high end.
-    Raises WindowExceedsRangeError when the window cannot fit.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if window_len < 1:
-        raise ValueError(f"window_len must be >= 1, got {window_len}")
-    top = table.frobenius - window_len + 1
-    if top < 0:
-        raise WindowExceedsRangeError(
-            f"window of {window_len} does not fit in [0, {table.frobenius}]"
-        )
-    return [
-        window_gap_fraction(table, rng.randint(0, top), window_len)
-        for _ in range(trials)
-    ]
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Battery of stream screens, plus key context when a key is given.
+    """Pearson test of a stream's residues mod the test modulus against the uniform law.
 
-    class_histogram counts stream values per residue class mod the test
-    modulus.  gap_density and window_fractions are None/empty unless the
-    matching table was supplied.
+    class_histogram counts stream values per residue class; reject_uniformity
+    means the uniformity hypothesis fails at the 5% level.
     """
 
     n_values: int
@@ -173,39 +100,39 @@ class AnalysisReport:
     chi_square: float
     df: int
     reject_uniformity: bool
-    gap_density: Fraction | None
-    window_fractions: tuple[Fraction, ...]
 
 
 def build_report(
-    stream: CipherStream | Sequence[int] | ResidueTally,
-    modulus: int = 16,
-    table: SemigroupTable | None = None,
-    *,
-    window_len: int = 256,
-    window_trials: int = 8,
-    seed: int = 0,
+    stream: CipherStream | Sequence[int] | ResidueTally, modulus: int = 16
 ) -> AnalysisReport:
-    """Run every screen that applies and bundle the outcomes.
+    """The residue screen of a stream mod `modulus`.
 
     The stream may be given as its tally mod `modulus`, counted a chunk
-    at a time.
+    at a time; any other sequence is converted by CipherStream.  Needs at
+    least 5 * modulus values so the usual expected-count rule of thumb
+    holds; the modulus is checked first.
     """
-    tally, statistic, reject = _pearson(stream, modulus)
-    density = None
-    fractions: tuple[Fraction, ...] = ()
-    if table is not None:
-        density = gap_density(table)
-        fit = min(window_len, table.frobenius + 1)
-        rng = random.Random(seed)
-        fractions = tuple(window_bernoulli(table, fit, window_trials, rng))
+    if isinstance(stream, ResidueTally):
+        if stream.modulus != modulus:
+            raise ValueError(f"values were counted mod {stream.modulus}, not mod {modulus}")
+        tally = stream
+    else:
+        tally = ResidueTally(modulus)
+        if not isinstance(stream, CipherStream):
+            stream = CipherStream(stream)
+        tally.add(stream.values)
+    n = tally.n_values
+    if n < 5 * modulus:
+        raise InsufficientSamplesError(
+            f"need at least {5 * modulus} values for modulus {modulus}, got {n}"
+        )
+    expected = n / modulus
+    statistic = float(((tally.counts - expected) ** 2 / expected).sum())
     return AnalysisReport(
-        n_values=tally.n_values,
+        n_values=n,
         modulus=modulus,
         class_histogram=tuple(tally.counts.tolist()),
         chi_square=statistic,
         df=modulus - 1,
-        reject_uniformity=reject,
-        gap_density=density,
-        window_fractions=fractions,
+        reject_uniformity=statistic > chi2_critical(modulus - 1),
     )

@@ -230,20 +230,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with _open_in(args.input) as src:
         for chunk in _read_stream(src):
             tally.add(chunk.values)
+    report = build_report(tally, modulus=args.modulus)
     # built after the stream is read, so the table and the read never overlap
-    table = build_table(key.generators) if key else None
-    report = build_report(tally, modulus=args.modulus, table=table)
+    density = gap_density(build_table(key.generators)) if key else None
     print(f"n_values {report.n_values}")
     print(f"modulus {report.modulus}")
     print(f"class_histogram {','.join(str(c) for c in report.class_histogram)}")
     print(f"chi_square {report.chi_square:.4f}")
     print(f"df {report.df}")
     print(f"reject_uniformity {_bool_word(report.reject_uniformity)}")
-    if report.gap_density is not None:
-        print(f"gap_density {report.gap_density}")
-    if report.window_fractions:
-        shown = ",".join(str(f) for f in report.window_fractions)
-        print(f"window_fractions {shown}")
+    if density is not None:
+        print(f"gap_density {density}")
     return 0
 
 
@@ -291,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the statistical screens on a stream")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--key", default=None, help="optional key; enables density and window checks")
+    p.add_argument("--key", default=None, help="optional key; adds its gap_density")
     p.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
     p.set_defaults(handler=cmd_analyze)
 

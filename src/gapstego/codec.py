@@ -272,7 +272,6 @@ def measure_salt_gap_preservation(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     index = build_gap_index(table, 1)
-    gen = np.random.default_rng(rng.getrandbits(128))
-    gaps = index.gaps_at(0, gen.integers(table.genus, size=samples)).tolist()
+    gaps = index.gaps_at(0, generator_from(rng).integers(table.genus, size=samples)).tolist()
     salted = (x + rng.randint(1, spec.k_max) * spec.period for x in gaps)
     return Fraction(sum(not table.is_member(x) for x in salted), samples)

@@ -79,9 +79,5 @@ class InsufficientSamplesError(GapstegoError, ValueError):
     """Too few stream values for the requested frequency test."""
 
 
-class WindowExceedsRangeError(GapstegoError, ValueError):
-    """Sampling window is longer than the interval [0, frobenius]."""
-
-
 class FormatError(GapstegoError, ValueError):
     """Key or stream file text does not match the documented format."""

@@ -118,8 +118,8 @@ def parse_key(text: str) -> KeyFile:
 
     rest = lines[3:]
     salt_pair = None
-    if rest and rest[0].startswith("salt-pair"):
-        pair_parts = _fields(rest[0])
+    pair_parts = _fields(rest[0]) if rest else []
+    if pair_parts and pair_parts[0] == "salt-pair":
         if len(pair_parts) != 3:
             raise FormatError(f"salt-pair line needs two indices, got {rest[0]!r}")
         i = _parse_uint(pair_parts[1], "salt-pair index")

@@ -26,8 +26,8 @@ from gapstego import (
     ProgressionSpec,
     SaltSpec,
     build_gap_index,
+    build_report,
     build_table,
-    chi_square_uniformity,
     encode_message,
     generate_key,
     measure_salt_gap_preservation,
@@ -249,10 +249,10 @@ def test_criterion_09_chi_square_behavior():
     for s in range(100):
         payload = random.Random(s).randbytes(800)
         stream = encode_message(payload, index, random.Random(10_000 + s))
-        _stat, reject = chi_square_uniformity(stream, 16)
-        passes += not reject
-    stat, reject = chi_square_uniformity([16 * j + 3 for j in range(80)], 16)
-    ok = passes >= 95 and stat == 1200.0 and reject
+        passes += not build_report(stream, 16).reject_uniformity
+    one_class = build_report([16 * j + 3 for j in range(80)], 16)
+    stat = one_class.chi_square
+    ok = passes >= 95 and stat == 1200.0 and one_class.reject_uniformity
     _report(
         9,
         "chi-square-behavior",

@@ -14,17 +14,17 @@ from gapstego import (
     CipherStream,
     analysis,
     InsufficientSamplesError,
-    WindowExceedsRangeError,
+    NegativeInputError,
     ResidueTally,
+    build_gap_index,
     build_report,
     build_table,
     chi2_critical,
-    chi_square_uniformity,
+    encode_message,
     gap_density,
     residue_histogram,
     validate_generators,
-    window_bernoulli,
-    window_gap_fraction,
+    verify_stream,
 )
 from gapstego.analysis import MAX_MODULUS
 
@@ -89,29 +89,30 @@ class TestChiSquare:
 
     def test_concentrated_stream_statistic_exact(self):
         # 80 values all in one class: (80-5)^2/5 + 15*(0-5)^2/5 = 1200
-        stream = CipherStream(tuple([3] * 80))
-        stat, reject = chi_square_uniformity(stream, 16)
-        assert stat == 1200.0
-        assert reject
+        report = build_report(CipherStream(tuple([3] * 80)), 16)
+        assert report.chi_square == 1200.0
+        assert report.reject_uniformity
 
     def test_perfectly_uniform(self):
         values = tuple(range(16)) * 5
-        stat, reject = chi_square_uniformity(CipherStream(values), 16)
-        assert stat == 0.0
-        assert not reject
+        report = build_report(CipherStream(values), 16)
+        assert report.chi_square == 0.0
+        assert not report.reject_uniformity
 
     def test_sample_floor(self):
         with pytest.raises(InsufficientSamplesError):
-            chi_square_uniformity(CipherStream(tuple(range(79))), 16)
+            build_report(CipherStream(tuple(range(79))), 16)
 
     def test_accepts_plain_sequences(self):
-        stat, _ = chi_square_uniformity(list(range(16)) * 5, 16)
-        assert stat == 0.0
+        assert build_report(list(range(16)) * 5, 16).chi_square == 0.0
+
+    def test_negative_value_refused(self):
+        with pytest.raises(NegativeInputError):
+            build_report([-1] * 80)
 
     def test_residues_beyond_modulus_fold(self):
         values = tuple(16 + v for v in range(16)) * 5
-        stat, _ = chi_square_uniformity(CipherStream(values), 16)
-        assert stat == 0.0
+        assert build_report(CipherStream(values), 16).chi_square == 0.0
 
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=35, max_size=60), st.integers(2, 7),
            st.integers(1, 9))
@@ -152,36 +153,10 @@ class TestChiSquare:
 
 class TestWindows:
     def test_full_interval_of_symmetric_key(self, table57):
-        assert window_gap_fraction(table57, 0, 24) == Fraction(1, 2)
-
-    def test_windows_beyond_conductor_have_no_gaps(self, table57):
-        assert window_gap_fraction(table57, 24, 50) == 0
-
-    def test_window_bernoulli_fixed_window(self, table57):
-        # with window F+1 the only admissible start is 0
-        fractions = window_bernoulli(table57, 24, 5, random.Random(0))
-        assert fractions == [Fraction(1, 2)] * 5
-
-    def test_window_too_long(self, table57):
-        with pytest.raises(WindowExceedsRangeError):
-            window_bernoulli(table57, 25, 3, random.Random(0))
-
-    def test_window_fractions_in_unit_interval(self, table469):
-        for frac in window_bernoulli(table469, 4, 50, random.Random(9)):
-            assert 0 <= frac <= 1
-
-    def test_deterministic_under_seed(self, table469):
-        a = window_bernoulli(table469, 6, 10, random.Random(4))
-        b = window_bernoulli(table469, 6, 10, random.Random(4))
-        assert a == b
-
-    def test_bad_args(self, table57):
-        with pytest.raises(ValueError):
-            window_bernoulli(table57, 0, 3, random.Random(0))
-        with pytest.raises(ValueError):
-            window_bernoulli(table57, 4, 0, random.Random(0))
-        with pytest.raises(ValueError):
-            window_gap_fraction(table57, 0, 0)
+        # the window [0, F] of a symmetric key holds as many gaps as members
+        window = np.arange(table57.frobenius + 1)
+        n_gaps = int(np.count_nonzero(~table57.members(window)))
+        assert Fraction(n_gaps, len(window)) == Fraction(1, 2) == gap_density(table57)
 
 
 class TestBuildReport:
@@ -194,16 +169,18 @@ class TestBuildReport:
         assert report.chi_square == 0.0
         assert report.df == 15
         assert not report.reject_uniformity
-        assert report.gap_density is None
-        assert report.window_fractions == ()
 
     def test_with_table(self, table3738):
-        values = tuple(range(16)) * 10
-        report = build_report(CipherStream(values), 16, table3738, seed=3)
-        assert report.gap_density == gap_density(table3738)
-        assert len(report.window_fractions) == 8
-        again = build_report(CipherStream(values), 16, table3738, seed=3)
-        assert report.window_fractions == again.window_fractions
+        # every byte once: each nibble class is drawn 32 times, whatever the key
+        payload = bytes(range(256))
+        index = build_gap_index(table3738)
+        stream = encode_message(payload, index, random.Random(3))
+        assert verify_stream(stream, table3738).all()
+        report = build_report(stream, 16)
+        assert report.class_histogram == (32,) * 16
+        assert report.chi_square == 0.0
+        again = encode_message(payload, index, random.Random(3))
+        assert build_report(again, 16) == report
 
     def test_insufficient_samples_bubble_up(self):
         with pytest.raises(InsufficientSamplesError):

@@ -548,12 +548,16 @@ class TestKeyCost:
 
 
 class TestAnalyze:
-    def test_report_lines(self, tmp_path, viable_key):
+    def test_report_lines(self, tmp_path, viable_key, capsys):
         src = tmp_path / "p.bin"
         src.write_bytes(random.Random(0).randbytes(200))
         stream = tmp_path / "s.txt"
         assert main(["encode", "--key", str(viable_key), "--in", str(src), "--out", str(stream), "--seed", "8"]) == 0
+        capsys.readouterr()
         assert main(["analyze", "--in", str(stream), "--key", str(viable_key)]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == ["n_values", "modulus", "class_histogram", "chi_square", "df",
+                         "reject_uniformity", "gap_density"]
 
     def test_report_contents(self, tmp_path, viable_key, capsys):
         stream = tmp_path / "s.txt"
@@ -672,6 +676,136 @@ class TestStreamReadersFuzz:
         if code:
             assert out.buffer.getvalue() == b""
             assert err.getvalue()
+
+
+# integers for every numeric flag and key field: small, negative and past each limit
+# (a generator above 2**31, a multiplicity above 10**7, 2**64)
+fuzz_ints = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([2**31 + 1, 10**7 + 1, 2**63, 2**64, -(2**64)]),
+)
+
+
+def _key_text(gens, pair=None, mode="telescopic", seed="1"):
+    lines = ["frobkey/1", f"mode {mode}", f"seed {seed}"]
+    lines += [f"salt-pair {pair}"] if pair else []
+    return "\n".join([*lines, *map(str, gens)]) + "\n"
+
+
+fuzz_key_texts = st.one_of(
+    st.sampled_from([
+        _key_text(README_GENS, "3 4"),
+        _key_text(README_GENS),
+        _key_text((37, 38), "0 1", "appendix-c"),
+        _key_text((5, 7)),  # class 5 mod 16 holds no gap
+        _key_text((37, 38), "0 9"),
+        _key_text((37, 38), "1 1"),
+        _key_text((37, 38), mode="sideways"),
+        _key_text((37, 38), seed=-1),
+        _key_text((37, 38), seed=2**64),
+        _key_text((37, 38), "0 1").replace("salt-pair", "salt-pairs"),
+        _key_text((37, 38), "0 1").replace("salt-pair", "salt-pair-x"),
+    ]),
+    st.lists(fuzz_ints, min_size=1, max_size=3).map(_key_text),
+    st.text(max_size=40),
+)
+
+
+def _flag(name, values=fuzz_ints):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+# placeholders for the paths of the key, the input and the output
+KEY, IN, OUT = "<key>", "<in>", "<out>"
+fuzz_in = st.sampled_from([IN, "-"])
+fuzz_out = st.sampled_from([OUT, "-"])
+cli_commands = st.one_of(
+    _argv(st.just(["keygen", "--out"]), fuzz_out.map(lambda p: [p]), _flag("--seed"),
+          _flag("--n-elements"), _flag("--mode", st.sampled_from(["telescopic", "appendix-c", "x"]))),
+    _argv(st.just(["inspect", "--key", KEY]), _flag("--modulus")),
+    _argv(st.just(["encode", "--key", KEY]), _flag("--in", fuzz_in), _flag("--out", fuzz_out),
+          _flag("--seed"), st.sampled_from([[], ["--salt"]]), _flag("--k-max")),
+    _argv(st.just(["decode", "--key", KEY]), _flag("--in", fuzz_in), _flag("--out", fuzz_out),
+          st.sampled_from([[], ["--verify"]])),
+    _argv(st.just(["analyze", "--in"]), fuzz_in.map(lambda p: [p]), _flag("--key", st.just(KEY)),
+          _flag("--modulus")),
+)
+# the last word may be one that argparse refuses
+cli_argvs = _argv(cli_commands, st.sampled_from([[]] * 6 + [["--bogus"], ["--seed"]]))
+
+
+class TestCliFuzz:
+    """Every command and flag: documented exit codes, no traceback, no partial output.
+
+    selftest, at 0.2 s a run, takes its extreme seeds as explicit examples.
+    """
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cli-fuzz")
+
+    @given(
+        argv=cli_argvs,
+        # the key may also come from stdin or name a file that is not there
+        key_path=st.sampled_from(["k.key", "k.key", "-", "missing.key"]),
+        key_text=fuzz_key_texts,
+        # payloads, stream texts, and short streams of values that are often gaps of (37, 38)
+        data=st.one_of(
+            st.binary(max_size=64),
+            fuzz_streams,
+            st.lists(st.integers(0, 1400), max_size=20).map(
+                lambda vs: "".join(f"{v}\n" for v in vs).encode()),
+        ),
+    )
+    @example(argv=["selftest", "--seed", "-1"], key_path="k.key", key_text="", data=b"")
+    @example(argv=["selftest", "--seed", str(2**64)], key_path="k.key", key_text="", data=b"")
+    @example(argv=["selftest", "--seed"], key_path="k.key", key_text="", data=b"")
+    @example(argv=["inspect", "--key", KEY], key_path="k.key",
+             key_text=_key_text((2**31 + 1, 2**31 + 2)), data=b"")
+    @example(argv=["analyze", "--in", IN, "--key", KEY], key_path="k.key",
+             key_text=_key_text((10**7 + 1, 10**7 + 2)), data=b"1\n2\n" * 40)
+    @example(argv=["encode", "--key", KEY, "--in", "-", "--out", "-"], key_path="-",
+             key_text=_key_text((5, 7)), data=b"")
+    @example(argv=["encode", "--key", KEY, "--in", IN, "--out", OUT, "--salt", "--k-max",
+                   str(2**64)], key_path="k.key", key_text=_key_text(README_GENS, "3 4"),
+             data=b"payload")
+    @example(argv=["decode", "--key", KEY, "--in", "-", "--out", OUT, "--verify"], key_path="k.key",
+             key_text=_key_text((37, 38)), data=b"1\n2\n")
+    @example(argv=["decode", "--key", KEY, "--in", IN, "--out", OUT, "--verify"], key_path="k.key",
+             key_text=_key_text((37, 38)), data=b"1\n74\n")  # 74 = 2 * 37 is no gap
+    @example(argv=["analyze", "--in", "-", "--key", KEY, "--modulus", "2"], key_path="k.key",
+             key_text=_key_text(README_GENS), data=b"1\n2\n" * 5)
+    @settings(max_examples=400)
+    def test_exit_codes_and_output(self, workdir, argv, key_path, key_text, data):
+        key, src, dst = workdir / "k.key", workdir / "in.bin", workdir / "out.txt"
+        key.write_text(key_text, encoding="utf-8")
+        src.write_bytes(data)
+        dst.unlink(missing_ok=True)
+        names = {KEY: key_path if key_path == "-" else str(workdir / key_path),
+                 IN: str(src), OUT: str(dst)}
+        argv = [names.get(a, a) for a in argv]
+        stdin = key_text.encode() if key_path == "-" else data
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with (
+            mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+        out.flush()
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue()
+            assert out.buffer.getvalue() == b""
+            assert not dst.exists()
 
 
 # one fault per selftest suite, in a subject that no other suite calls

@@ -74,6 +74,8 @@ class TestKeyFormat:
             "frobkey/1\nmode telescopic\nseed 0\nsalt-pair 0\n5\n7\n",
             "frobkey/1\nmode telescopic\nseed 0\nsalt-pair 0 5\n5\n7\n",
             "frobkey/1\nmode telescopic\nseed 0\nsalt-pair 1 1\n5\n7\n",
+            "frobkey/1\nmode telescopic\nseed 0\nsalt-pairs 0 1\n5\n7\n",
+            "frobkey/1\nmode telescopic\nseed 0\nsalt-pair-x 0 1\n5\n7\n",
         ],
     )
     def test_malformed_rejected(self, text):
