@@ -82,21 +82,26 @@ def generate_key(params: KeygenParams) -> GeneratingSet:
 
     Deterministic in params.seed.  Each of the RETRY_BUDGET attempts is one
     draw; one that dead-ends or leaves a residue class empty uses up its
-    attempt.  Raises ViabilityFailure when the budget runs out, which
-    signals ranges too narrow to ever work rather than bad luck.
+    attempt; a key drawn again after it was rejected is not checked again.
+    Raises ViabilityFailure when the budget runs out, which signals ranges
+    too narrow to ever work rather than bad luck.
     """
     rng = random.Random(params.seed)
     draw = _draw_appendix_c if params.mode == "appendix-c" else _draw_telescopic
     empty_class = None
+    # each rejected key with its first empty class; a repeat draw costs no table
+    rejected: dict[GeneratingSet, int] = {}
     for _ in range(RETRY_BUDGET):
         candidate = draw(rng, params)
         if candidate is None:
             continue
         gens = validate_generators(candidate)
-        viability = check_viability(build_table(gens), DEFAULT_MODULUS)
-        if viability.viable:
-            return gens
-        empty_class = viability.per_class_gap_count.index(0)
+        if gens not in rejected:
+            viability = check_viability(build_table(gens), DEFAULT_MODULUS)
+            if viability.viable:
+                return gens
+            rejected[gens] = viability.per_class_gap_count.index(0)
+        empty_class = rejected[gens]
     detail = (
         f"; residue class {empty_class} mod {DEFAULT_MODULUS} kept coming up empty"
         if empty_class is not None

@@ -37,10 +37,14 @@ from .errors import (
 
 # One int64 per residue class mod the multiplicity.  The round-robin pass
 # subtracts k * a, k < m, from entries that may hold the unreached sentinel
-# 2**62; m * a <= 10**7 * 2**31 is far below it, so nothing wraps.
+# 2**62, and adds up to m * a to their minimum; m * a <= 10**7 * 2**31 is
+# far below it, so nothing wraps.
 MAX_MULTIPLICITY = 10**7
 MAX_GENERATOR = 2**31
 _UNREACHED = 2**62
+# Residues the round-robin pass and the table reductions work on at a time,
+# so that their scratch stays a few such blocks whatever the multiplicity.
+_BLOCK_RESIDUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,7 @@ def check_limits(elems: Sequence[int]) -> None:
 def _round_robin(elems: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...], bool]:
     """Table, minimal generators and telescopic verdict of increasing elems.
 
-    Generator a splits the residues mod m into gcd(a, m) cycles of the step
-    r -> r + a.  Each cycle is rotated to start at its minimum, which adding
-    a can never lower, so one running minimum of n[r] - k*a along it gives
-    the new entries.  The last key's result is kept, its table read-only.
+    The last key's result is kept, its table read-only.
     """
     check_limits(elems)
     m = elems[0]
@@ -178,19 +179,65 @@ def _round_robin(elems: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...], b
         if a >= int(n[a % m]):
             continue  # a sum of smaller generators: changes nothing
         minimal.append(a)
-        g = math.gcd(a, m)
-        ka = np.arange(m // g, dtype=np.int64) * a
-        # residues congruent mod g form one cycle, a column of this view
-        starts = np.arange(g) + g * n.reshape(-1, g).argmin(axis=0)
-        idx = starts[:, None] + ka
-        idx %= m
-        v = n[idx]
-        v -= ka
-        np.minimum.accumulate(v, axis=1, out=v)
-        v += ka
-        n[idx] = v
+        _add_generator(n, a)
     n.setflags(write=False)
     return n, tuple(minimal), telescopic
+
+
+def _add_generator(n: np.ndarray, a: int) -> None:
+    """Lower the table n in place to the minima once generator a is added.
+
+    a splits the residues mod m into g = gcd(a, m) cycles of the step
+    r -> r + a: the cycle of r holds the residues congruent to r mod g, a
+    column of n.reshape(m // g, g), and step k from row 0 lands on row
+    k * (a // g) mod (m // g) of every column.  With W[k] the running
+    minimum of n - k*a along a cycle from row 0, its new entry at step k is
+    k*a + min(W[k], W[last] + (m // g) * a), the second term being the way
+    round the end of the cycle.  A first pass takes W[last] in row order, a
+    second walks the cycles in step order, _BLOCK_RESIDUES residues at a
+    time, carrying each running minimum from one block of steps to the next.
+    """
+    m = len(n)
+    g = math.gcd(a, m)
+    steps, q = m // g, a // g
+    width = min(g, _BLOCK_RESIDUES)
+    depth = min(steps, _BLOCK_RESIDUES // width)
+    ka_base = np.arange(depth, dtype=np.int64) * a
+    for c0 in range(0, g, width):
+        cycles = n.reshape(steps, g)[:, c0 : c0 + width]
+        carry = np.full(cycles.shape[1], np.iinfo(np.int64).max)
+        # row r is reached at step r * q^-1 mod steps
+        for r0, k in zip(range(0, steps, depth), _multiples(pow(q, -1, steps), steps, depth)):
+            np.minimum(carry, (cycles[r0 : r0 + depth] - (k * a)[:, None]).min(axis=0), out=carry)
+        carry += steps * a
+        for k0, rows in zip(range(0, steps, depth), _multiples(q, steps, depth)):
+            ka = (ka_base[: len(rows)] + k0 * a)[:, None]
+            v = cycles[rows]
+            v -= ka
+            _running_min(v, carry)
+            carry = v[-1].copy()
+            v += ka
+            cycles[rows] = v
+
+
+def _multiples(step: int, modulus: int, depth: int) -> Iterator[np.ndarray]:
+    """k * step % modulus for k = 0, 1, ..., modulus - 1, depth values at a time."""
+    k = np.arange(depth, dtype=np.int64) * step % modulus
+    shift = depth * step % modulus
+    for k0 in range(0, modulus, depth):
+        yield k[: modulus - k0]
+        k += shift
+        np.subtract(k, modulus, out=k, where=k >= modulus)
+
+
+def _running_min(v: np.ndarray, first: np.ndarray) -> None:
+    """Running minimum of first, v[0], v[1], ... down the rows of v, in place."""
+    np.minimum(v[0], first, out=v[0])
+    if len(v) < v.shape[1]:  # few long rows: accumulate costs a call per column
+        for i in range(1, len(v)):
+            np.minimum(v[i], v[i - 1], out=v[i])
+    else:
+        np.minimum.accumulate(v, axis=0, out=v)
 
 
 def build_table(gens: GeneratingSet) -> SemigroupTable:
@@ -204,7 +251,8 @@ def build_table(gens: GeneratingSet) -> SemigroupTable:
     min_rep = _round_robin(gens.elements)[0]
     m = gens.elements[0]
     frobenius = int(min_rep.max()) - m
-    genus = int((min_rep // m).sum())
+    blocks = range(0, m, _BLOCK_RESIDUES)
+    genus = sum(int((min_rep[i : i + _BLOCK_RESIDUES] // m).sum()) for i in blocks)
     return SemigroupTable(gens, m, min_rep, frobenius, genus)
 
 

@@ -28,18 +28,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 # `gapstego keygen --seed 1`, the key of the README
 KEY = "frobkey/1\nmode telescopic\nseed 1\nsalt-pair 3 4\n568\n3692\n4084\n4314\n4483\n"
+CLI = ["-m", "gapstego.cli"]
 SIZES = (1 << 18, 1 << 24)
 GROWTH = 2.0
 PIECE = 1 << 20
 
 
 def peak_mb(args: list) -> float:
-    """Run the CLI with args; its peak RSS in MB, or exit 1 when it fails."""
+    """Run Python with args and src on its path; its peak RSS in MB, or exit 1 when it fails."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.Popen([sys.executable, "-m", "gapstego.cli", *map(str, args)], env=env)
+    proc = subprocess.Popen([sys.executable, *map(str, args)], env=env)
     _, status, usage = os.wait4(proc.pid, 0)
     if os.waitstatus_to_exitcode(status):
-        sys.exit(f"gapstego {' '.join(map(str, args))} failed")
+        sys.exit(f"python {' '.join(map(str, args))} failed")
     return usage.ru_maxrss / 1024
 
 
@@ -72,9 +73,9 @@ def main() -> int:
             payload = write_payload(work / "payload.bin", size)
             stream, out = work / "stream.txt", work / "out.bin"
             peaks["encode"].append(peak_mb(
-                ["encode", "--key", key, "--in", work / "payload.bin", "--out", stream, "--seed", 1]))
+                [*CLI, "encode", "--key", key, "--in", work / "payload.bin", "--out", stream, "--seed", 1]))
             peaks["decode --verify"].append(peak_mb(
-                ["decode", "--verify", "--key", key, "--in", stream, "--out", out]))
+                [*CLI, "decode", "--verify", "--key", key, "--in", stream, "--out", out]))
             if sha256(out) != payload:
                 sys.exit(f"decoded bytes differ from the {size}-byte payload")
             print(f"{size} bytes: {stream.stat().st_size} bytes of stream, round trip exact")

@@ -166,6 +166,21 @@ class TestViabilityFailure:
             generate_key(params)
         assert "class" in str(exc.value)
 
+    def test_rejected_key_is_not_built_again(self, monkeypatch):
+        # every draw here is (2, 3) or (3, 4), and both leave class 0 empty
+        build = mock.Mock(wraps=keygen_mod.build_table)
+        monkeypatch.setattr(keygen_mod, "build_table", build)
+        params = KeygenParams(
+            seed=7, n_elements=2, base_min=2, base_max=3, spread_max=1, mode="appendix-c"
+        )
+        with pytest.raises(ViabilityFailure) as exc:
+            generate_key(params)
+        assert str(exc.value) == (
+            "no viable appendix-c key in 10000 attempts (base [2, 3], spread 1);"
+            " residue class 0 mod 16 kept coming up empty"
+        )
+        assert sorted(call.args[0].elements for call in build.call_args_list) == [(2, 3), (3, 4)]
+
     def test_budget_counts_single_attempts(self, monkeypatch):
         # a1 <= 1000 never has the ten prime factors that 11 elements need,
         # so each attempt draws and factors one a1

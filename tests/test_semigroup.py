@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ class TestBuildTable:
         assert build_table(gens).min_rep is table.min_rep
         assert _round_robin.cache_info().misses == 1
         assert not table.min_rep.flags.writeable
+
+    def test_build_scratch_is_a_few_blocks(self):
+        # the pass keeps no full-size temporary: its peak is the table plus blocks
+        m = 10**6
+        gens = validate_generators((m, m + 1, m + 7, 2 * m + 3, 3 * m + 11))
+        _round_robin.cache_clear()
+        tracemalloc.start()
+        try:
+            table = build_table(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        min_rep = table.min_rep
+        _round_robin.cache_clear()
+        assert peak <= min_rep.nbytes + 4 * 2**20
+        assert table.genus == int((min_rep // m).sum())
+        assert table.frobenius == int(min_rep.max()) - m
 
     def test_multiplicity_limit(self):
         with pytest.raises(LimitError):

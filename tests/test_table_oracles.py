@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dijkstra_reference import dijkstra_min_rep
@@ -22,6 +23,7 @@ from gapstego import (
     generate_key,
     is_telescopic,
     minimal_generators,
+    semigroup,
     validate_generators,
 )
 
@@ -104,6 +106,33 @@ def test_structure_matches_sieve_definitions(elems):
         a for a, r in zip(elems, redundant) if not r
     )
     assert is_telescopic(gens) == telescopic_by_definition(elems)
+
+
+@given(any_sets, st.integers(1, 6))
+# gcd(a, m) for a past m: 1 for (7, 11), m/2 for (10, 15, 17), 4 of 12 for (12, 20, 23)
+@example([7, 11], 2)
+@example([10, 15, 17], 2)
+@example([12, 20, 23], 3)
+@settings(max_examples=150)
+def test_blocks_of_a_few_residues_match_the_oracles(elems, block):
+    # the cycles of each generator span several blocks of steps and of cycles
+    gens = validate_generators(elems)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "_BLOCK_RESIDUES", block)
+        semigroup._round_robin.cache_clear()
+        t = build_table(gens)
+        minimal = minimal_generators(gens).elements
+        telescopic = is_telescopic(gens)
+    semigroup._round_robin.cache_clear()
+
+    reference = dijkstra_min_rep(elems)
+    assert np.array_equal(t.min_rep, reference)
+    m = t.multiplicity
+    rep = brute_force_sieve(gens, int(reference.max())).representable
+    assert t.min_rep.tolist() == [r + m * int(np.argmax(rep[r::m])) for r in range(m)]
+    assert t.genus == int((reference // m).sum())
+    assert minimal == tuple(a for a, r in zip(elems, redundant_by_definition(elems)) if not r)
+    assert telescopic == telescopic_by_definition(elems)
 
 
 def test_small_keys_reach_both_verdicts():
