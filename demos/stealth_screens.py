@@ -29,7 +29,7 @@ def main() -> None:
     rng = random.Random(4)
 
     print(f"key generators: {tuple(gens)}   frobenius {table.frobenius}")
-    print(f"gap counts by residue mod 16: {residue_histogram(table, 16).tolist()}")
+    print(f"gap counts by residue mod 16: {residue_histogram(table).tolist()}")
 
     print()
     print("screen 1: chi-square on an honest stream of random payload bytes")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import CHUNK_VALUES, CipherStream
+from .codec import CHUNK_VALUES, MODULUS, CipherStream, class_counts
 from .errors import InsufficientSamplesError
 from .semigroup import SemigroupTable
 
@@ -53,11 +53,9 @@ def gap_density(table: SemigroupTable) -> Fraction:
     return Fraction(table.genus, table.frobenius + 1)
 
 
-def residue_histogram(table: SemigroupTable, modulus: int) -> np.ndarray:
-    """Gap counts per residue class mod `modulus`, in O(m * modulus) from the table."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    return np.array([table.class_counts(modulus, v).sum() for v in range(modulus)])
+def residue_histogram(table: SemigroupTable) -> np.ndarray:
+    """Gap counts per residue class mod 16, in O(m) from the table a block of rows at a time."""
+    return np.array([sum(int(c.sum()) for _, c in class_counts(table, v)) for v in range(MODULUS)])
 
 
 @dataclass

@@ -22,10 +22,10 @@ from typing import BinaryIO, ContextManager, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import MAX_MODULUS, ResidueTally, build_report, gap_density
+from .analysis import ResidueTally, build_report, gap_density
 from .codec import (
     CHUNK_VALUES,
-    DEFAULT_MODULUS,
+    MODULUS,
     CipherStream,
     SaltSpec,
     build_gap_index,
@@ -50,12 +50,6 @@ from .keygen import KeygenParams, MODES, check_viability, choose_salt_pair, gene
 from .semigroup import build_table, is_telescopic, minimal_generators
 
 _APERY_PRINT_LIMIT = 64
-
-
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
 
 
 def _open_in(path: str) -> ContextManager[BinaryIO]:
@@ -98,7 +92,8 @@ def _fresh_seed() -> int:
 
 
 def _load_key(path: str) -> KeyFile:
-    return parse_key(_read_text(path))
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    return parse_key(text)
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
@@ -120,12 +115,10 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    if not 1 <= args.modulus <= MAX_MODULUS:
-        raise ValueError(f"modulus must be in [1, {MAX_MODULUS}], got {args.modulus}")
     key = _load_key(args.key)
     table = build_table(key.generators)
     minimal = minimal_generators(key.generators)
-    counts = check_viability(table, args.modulus)
+    counts = check_viability(table)
     print(f"generators {','.join(str(g) for g in key.generators)}")
     print(f"multiplicity {table.multiplicity}")
     print(f"frobenius {table.frobenius}")
@@ -163,7 +156,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         if same and os.path.samefile(args.input, args.out):
             raise ValueError(f"--in and --out name the same file, {args.out}")
         table = build_table(key.generators)
-        index = build_gap_index(table, DEFAULT_MODULUS)
+        index = build_gap_index(table)
         seed = args.seed if args.seed is not None else _fresh_seed()
         rng = random.Random(seed)
         # the Generators that encode_message(payload, index, rng) and then
@@ -267,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="print structural facts about a key")
     p.add_argument("--key", required=True)
-    p.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
     p.set_defaults(handler=cmd_inspect)
 
     p = sub.add_parser("encode", help="encode raw bytes as a gap stream")
@@ -289,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the statistical screens on a stream")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--key", default=None, help="optional key; adds its gap_density")
-    p.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
+    p.add_argument("--modulus", type=int, default=MODULUS)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("selftest", help="run the acceptance property checks on small families")
@@ -303,8 +295,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (GapstegoError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GapstegoError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -29,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -39,23 +40,25 @@ from .errors import (
     OddLengthError,
     ValueExceedsPeriodError,
 )
-from .semigroup import GeneratingSet, SemigroupTable, class_gaps
+from .semigroup import GeneratingSet, SemigroupTable
 
-DEFAULT_MODULUS = 16
+# Nibble v travels as a gap congruent to v mod 16.
+MODULUS = 16
 DEFAULT_K_MAX = 64
 # Values a step with per-value scratch takes at a time: 256 KiB of uint64.
 CHUNK_VALUES = 1 << 15
+# Rows of the table that class_counts counts at a time, a multiple of MODULUS.
+_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
 class GapIndex:
-    """Running gap counts per residue class over the rows of the table.
+    """Running gap counts per residue class mod 16 over the rows of the table.
 
-    classes[v][i] counts the gaps congruent to v mod modulus in the rows
-    before the i-th that can hold any (see semigroup.class_gaps).
+    classes[v][i] counts the gaps congruent to v in the rows before the
+    i-th that can hold any (see class_gaps).
     """
 
-    modulus: int
     multiplicity: int
     classes: tuple[np.ndarray, ...]
 
@@ -66,7 +69,34 @@ class GapIndex:
         """The gaps of class v numbered u row by row, 0 <= u < class size."""
         starts = self.classes[v]
         i = np.searchsorted(starts, u, side="right") - 1
-        return class_gaps(self.multiplicity, self.modulus, v, i, u - starts[i])
+        return class_gaps(self.multiplicity, v, i, u - starts[i])
+
+
+def class_gaps(m: int, v: int, i: np.ndarray, k: np.ndarray | int = 0) -> np.ndarray:
+    """The k-th gap congruent to v mod 16 in the i-th row that can hold one.
+
+    Row r of a table with multiplicity m holds the gaps r + j*m, j < min_rep[r] // m.
+    With g = gcd(m, 16) and c = 16 // g, r + j*m = v (mod 16) needs
+    r = v % g + i*g, i < m // g, and then holds for j = j0 + k*c, with j0 < c
+    solving j0 * (m // g) = (v - r) // g (mod c).  Callers check j < min_rep[r] // m.
+    """
+    g = math.gcd(m, MODULUS)
+    c = MODULUS // g
+    j0 = (v // g - i) * pow(m // g, -1, c) % c
+    return v % g + i * g + (j0 + k * c) * m
+
+
+def class_counts(table: SemigroupTable, v: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i0, counts), _BLOCK_ROWS rows at a time: the (i0 + t)-th row that can hold a
+    gap congruent to v mod 16 holds counts[t] = ceil((min_rep[r] // m - j0) / c) of them
+    (see class_gaps), and j0 = class_gaps(m, v, i) // m has period c, which divides i0."""
+    m = table.multiplicity
+    g = math.gcd(m, MODULUS)
+    c = MODULUS // g
+    rows = table.min_rep[v % g :: g]
+    lift = c - 1 - class_gaps(m, v, np.arange(min(len(rows), _BLOCK_ROWS))) // m
+    for i0 in range(0, len(rows), _BLOCK_ROWS):
+        yield i0, (rows[i0 : i0 + _BLOCK_ROWS] // m + lift[: len(rows) - i0]) // c
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,21 +169,22 @@ class SaltSpec:
         return cls(math.lcm(gens[i], gens[j]), k_max)
 
 
-def build_gap_index(table: SemigroupTable, modulus: int = DEFAULT_MODULUS) -> GapIndex:
-    """Running gap counts per residue class; refuse keys with an empty class.
+def build_gap_index(table: SemigroupTable) -> GapIndex:
+    """Running gap counts per residue class mod 16, summed a block of rows at a time.
 
     Raises EmptyClassError naming the smallest residue whose class holds
     no gap, since such a key cannot carry that nibble value.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    classes = tuple(
-        np.concatenate(([0], table.class_counts(modulus, v).cumsum())) for v in range(modulus)
-    )
-    for v, starts in enumerate(classes):
+    m = table.multiplicity
+    classes = []
+    for v in range(MODULUS):
+        starts = np.zeros(m // math.gcd(m, MODULUS) + 1, dtype=np.int64)
+        for i0, counts in class_counts(table, v):
+            starts[i0 + 1 : i0 + 1 + len(counts)] = counts.cumsum() + starts[i0]
         if starts[-1] == 0:
             raise EmptyClassError(v)
-    return GapIndex(modulus, table.multiplicity, classes)
+        classes.append(starts)
+    return GapIndex(m, tuple(classes))
 
 
 def generator_from(rng: random.Random | np.random.Generator) -> np.random.Generator:
@@ -172,8 +203,6 @@ def encode_message(
     Each chunk of CHUNK_VALUES // 2 bytes draws its values a class at a
     time from generator_from(rng).
     """
-    if index.modulus != DEFAULT_MODULUS:
-        raise ValueError(f"byte encoding needs modulus 16, got {index.modulus}")
     gen = generator_from(rng)
     data = np.frombuffer(payload, dtype=np.uint8)
     values = np.empty(2 * len(data), dtype=np.uint64)
@@ -201,7 +230,7 @@ def decode_message(stream: CipherStream) -> bytes:
         raise OddLengthError(len(vals))
     # the low byte of a value keeps its residue mod 16
     nibbles = vals.astype(np.uint8)
-    nibbles &= np.uint8(DEFAULT_MODULUS - 1)
+    nibbles &= np.uint8(MODULUS - 1)
     return ((nibbles[0::2] << 4) | nibbles[1::2]).tobytes()
 
 
@@ -265,13 +294,17 @@ def measure_salt_gap_preservation(
 ) -> Fraction:
     """Fraction of random salted gaps that remain gaps.
 
-    Draws `samples` gaps uniformly, salts each with a fresh k, and counts
+    Draws `samples` gaps uniformly, numbered row by row (row i holds i,
+    i + m, ..., min_rep[i] - m), salts each with a fresh k, and counts
     how many of the results still avoid the semigroup.  Strictly below 1
     in general: salting trades perfect gap-ness for a wider value range.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    index = build_gap_index(table, 1)
-    gaps = index.gaps_at(0, generator_from(rng).integers(table.genus, size=samples)).tolist()
+    m = table.multiplicity
+    starts = np.concatenate(([0], (table.min_rep // m).cumsum()))
+    u = generator_from(rng).integers(table.genus, size=samples)
+    i = np.searchsorted(starts, u, side="right") - 1
+    gaps = (i + (u - starts[i]) * m).tolist()
     salted = (x + rng.randint(1, spec.k_max) * spec.period for x in gaps)
     return Fraction(sum(not table.is_member(x) for x in salted), samples)

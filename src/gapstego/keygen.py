@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .analysis import residue_histogram
-from .codec import DEFAULT_MODULUS
+from .codec import MODULUS
 from .errors import ViabilityFailure
 from .semigroup import (
     GeneratingSet,
@@ -64,17 +64,16 @@ class KeygenParams:
 
 @dataclass(frozen=True)
 class KeyViability:
-    """Per-class gap counts for one key at one modulus."""
+    """Gap counts per residue class mod 16 for one key."""
 
-    modulus: int
     per_class_gap_count: tuple[int, ...]
     viable: bool
 
 
-def check_viability(table: SemigroupTable, modulus: int) -> KeyViability:
-    """Count gaps per residue class; viable keys have no empty class."""
-    counts = tuple(int(c) for c in residue_histogram(table, modulus))
-    return KeyViability(modulus, counts, min(counts) >= 1)
+def check_viability(table: SemigroupTable) -> KeyViability:
+    """Count gaps per residue class mod 16; viable keys have no empty class."""
+    counts = tuple(int(c) for c in residue_histogram(table))
+    return KeyViability(counts, min(counts) >= 1)
 
 
 def generate_key(params: KeygenParams) -> GeneratingSet:
@@ -97,13 +96,13 @@ def generate_key(params: KeygenParams) -> GeneratingSet:
             continue
         gens = validate_generators(candidate)
         if gens not in rejected:
-            viability = check_viability(build_table(gens), DEFAULT_MODULUS)
+            viability = check_viability(build_table(gens))
             if viability.viable:
                 return gens
             rejected[gens] = viability.per_class_gap_count.index(0)
         empty_class = rejected[gens]
     detail = (
-        f"; residue class {empty_class} mod {DEFAULT_MODULUS} kept coming up empty"
+        f"; residue class {empty_class} mod {MODULUS} kept coming up empty"
         if empty_class is not None
         else ""
     )

@@ -119,14 +119,6 @@ class SemigroupTable:
         rows = enumerate(self.min_rep.tolist())
         return np.sort(np.concatenate([np.arange(r, top, self.multiplicity) for r, top in rows]))
 
-    def class_counts(self, modulus: int, v: int) -> np.ndarray:
-        """How many gaps congruent to v each row that can hold one holds (see class_gaps)."""
-        m = self.multiplicity
-        g = math.gcd(m, modulus)
-        step = m // g * modulus  # lcm(m, modulus): between two of a row's class-v gaps
-        first = class_gaps(m, modulus, v, np.arange(m // g, dtype=np.int64))
-        return (self.min_rep[v % g :: g] - first + step - 1) // step
-
     def is_symmetric(self) -> bool:
         """True when the gaps fill exactly half of [0, F].
 
@@ -134,20 +126,6 @@ class SemigroupTable:
         identity 2 * genus == frobenius + 1, which is what gets checked.
         """
         return 2 * self.genus == self.frobenius + 1
-
-
-def class_gaps(m: int, modulus: int, v: int, i: np.ndarray, k: np.ndarray | int = 0) -> np.ndarray:
-    """The k-th gap congruent to v mod `modulus` in the i-th row that can hold one.
-
-    Row r of a table with multiplicity m holds the gaps r + j*m, j < min_rep[r] // m.
-    With g = gcd(m, modulus) and c = modulus // g, r + j*m = v (mod modulus) needs
-    r = v % g + i*g, i < m // g, and then holds for j = j0 + k*c, with j0 < c
-    solving j0 * (m // g) = (v - r) // g (mod c).  Callers check j < min_rep[r] // m.
-    """
-    g = math.gcd(m, modulus)
-    c = modulus // g
-    j0 = (v // g - i) * pow(m // g, -1, c) % c
-    return v % g + i * g + (j0 + k * c) * m
 
 
 def check_limits(elems: Sequence[int]) -> None:

@@ -275,7 +275,7 @@ def test_criterion_10_class_uniformity(telescopic_family):
     within = 0
     worst = 0.0
     for _seed, _gens, table in keys:
-        hist = residue_histogram(table, 16)
+        hist = residue_histogram(table)
         ratio = float(hist.max() / hist.min())
         worst = max(worst, ratio)
         within += ratio <= 1.5

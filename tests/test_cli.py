@@ -167,21 +167,39 @@ class TestInspect:
         assert main(["inspect", "--key", str(tmp_path / "nope.key")]) == 2
 
     def test_bad_modulus_fails_before_output(self, tmp_path, capsys):
+        # inspect reports the encoder's 16 classes and takes no --modulus
         key = write_key(tmp_path, (5, 7))
-        assert main(["inspect", "--key", str(key), "--modulus", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect", "--key", str(key), "--modulus", "16"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "modulus" in captured.err
+        assert "--modulus" in captured.err
 
     @pytest.mark.parametrize("modulus", ["65", "1000000", str(2**64)])
     def test_modulus_past_the_table_refused_before_the_table(self, tmp_path, capsys,
                                                              monkeypatch, modulus):
         key = write_key(tmp_path, (5, 7))
         monkeypatch.setattr(cli, "build_table", mock.Mock(side_effect=AssertionError))
-        assert main(["inspect", "--key", str(key), "--modulus", modulus]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect", "--key", str(key), "--modulus", modulus])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"got {modulus}" in captured.err
+        assert "--modulus" in captured.err
+
+    def test_viable_line_is_the_encoders_verdict(self, tmp_path, capsys):
+        # (5, 7) leaves class 5 mod 16 empty: inspect says so, and encode refuses
+        key = write_key(tmp_path, (5, 7))
+        assert main(["inspect", "--key", str(key)]) == 0
+        lines = dict(ln.split(" ", 1) for ln in capsys.readouterr().out.splitlines())
+        assert lines["class_counts"] == "1,1,2,1,1,0,1,1,1,1,0,1,0,1,0,0"
+        assert lines["viable"] == "false"
+        payload, stream = tmp_path / "p.bin", tmp_path / "s.txt"
+        payload.write_bytes(b"hi")
+        assert main(["encode", "--key", str(key), "--in", str(payload), "--out", str(stream)]) == 2
+        assert "residue class 5" in capsys.readouterr().err
+        assert not stream.exists()
 
 
 class TestEncodeDecode:
@@ -311,6 +329,22 @@ class TestSaltBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "k_max" in captured.err
+
+
+class TestOutOfMemory:
+    # an index of 16 * (m + 1) integers at odd m can pass a small machine's memory
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 1.19 GiB")])
+    def test_reported_as_input_error(self, tmp_path, viable_key, capsys, monkeypatch, error):
+        monkeypatch.setattr(cli, "build_gap_index", mock.Mock(side_effect=error))
+        src, stream = tmp_path / "p.bin", tmp_path / "s.txt"
+        src.write_bytes(b"payload")
+        args = ["encode", "--key", str(viable_key), "--in", str(src), "--out", str(stream)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {str(error) or 'out of memory'}\n"
+        assert "Traceback" not in captured.err
+        assert not stream.exists()
 
 
 class TestSaltPeriod:
@@ -726,7 +760,7 @@ fuzz_out = st.sampled_from([OUT, "-"])
 cli_commands = st.one_of(
     _argv(st.just(["keygen", "--out"]), fuzz_out.map(lambda p: [p]), _flag("--seed"),
           _flag("--n-elements"), _flag("--mode", st.sampled_from(["telescopic", "appendix-c", "x"]))),
-    _argv(st.just(["inspect", "--key", KEY]), _flag("--modulus")),
+    st.just(["inspect", "--key", KEY]),
     _argv(st.just(["encode", "--key", KEY]), _flag("--in", fuzz_in), _flag("--out", fuzz_out),
           _flag("--seed"), st.sampled_from([[], ["--salt"]]), _flag("--k-max")),
     _argv(st.just(["decode", "--key", KEY]), _flag("--in", fuzz_in), _flag("--out", fuzz_out),

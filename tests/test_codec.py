@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -18,6 +19,7 @@ from gapstego import (
     NegativeInputError,
     OddLengthError,
     SaltSpec,
+    SemigroupTable,
     ValueExceedsPeriodError,
     build_gap_index,
     build_table,
@@ -35,7 +37,7 @@ from gapstego import (
 
 @pytest.fixture(scope="module")
 def index3738(table3738):
-    return build_gap_index(table3738, 16)
+    return build_gap_index(table3738)
 
 
 small_keys = (
@@ -43,77 +45,93 @@ small_keys = (
     .filter(lambda xs: math.gcd(*xs) == 1)
     .map(validate_generators)
 )
-moduli = st.sampled_from((1, 4, 16))
 
 
-def classes_by_gap_list(table, modulus):
+def classes_by_gap_list(table):
     gaps = table.gaps()
-    return [gaps[gaps % modulus == v].tolist() for v in range(modulus)]
+    return [gaps[gaps % 16 == v].tolist() for v in range(16)]
 
 
 class TestGapIndex:
-    def test_mod4_partition(self, table57):
-        # rows of (5, 7), min_rep (0, 21, 7, 28, 14): row 1 holds 1, 6, 11, 16,
-        # row 2 holds 2, row 3 holds 3, 8, 13, 18, 23 and row 4 holds 4, 9
-        idx = build_gap_index(table57, 4)
-        assert idx.modulus == 4
-        assert [c.tolist() for c in idx.classes] == [[0, 0, 1, 1, 2, 3]] * 2 + [
-            [0, 0, 1, 2, 3, 3],
-            [0, 0, 1, 1, 3, 3],
-        ]
-        numbered = [idx.gaps_at(v, np.arange(3)).tolist() for v in range(4)]
-        assert numbered == [[16, 8, 4], [1, 13, 9], [6, 2, 18], [11, 3, 23]]
+    def test_mod16_partition(self):
+        # (3, 17), min_rep (0, 34, 17): row 1 holds 1, 4, 7, ..., 31 and row 2
+        # holds 2, 5, 8, 11, 14, 16 gaps in all, one in each class mod 16
+        idx = build_gap_index(build_table(validate_generators((3, 17))))
+        assert idx.class_sizes() == (1,) * 16
+        row = [1 if v in (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15) else 2 for v in range(16)]
+        assert [c.tolist() for c in idx.classes] == [[0] * (r + 1) + [1] * (3 - r) for r in row]
+        numbered = [int(idx.gaps_at(v, np.zeros(1, dtype=np.int64))[0]) for v in range(16)]
+        assert numbered == [16, 1, 2, 19, 4, 5, 22, 7, 8, 25, 10, 11, 28, 13, 14, 31]
 
-    def test_trivial_modulus(self, table57):
-        idx = build_gap_index(table57, 1)
-        assert idx.class_sizes() == (table57.genus,)
-        numbered = idx.gaps_at(0, np.arange(table57.genus))
-        assert sorted(numbered.tolist()) == table57.gaps().tolist()
-
-    @given(gens=small_keys, modulus=moduli)
-    @example(gens=validate_generators((5, 7)), modulus=4)
-    @example(gens=validate_generators((37, 38)), modulus=16)  # gcd(m, 16) = 1
-    @example(gens=validate_generators((32, 33)), modulus=16)  # gcd 16
-    @example(gens=validate_generators((36, 37)), modulus=16)  # gcd 4
-    @example(gens=validate_generators((40, 41)), modulus=16)  # gcd 8
+    @given(gens=small_keys, block=st.sampled_from([16, 32, 1 << 15]))
+    @example(gens=validate_generators((5, 7)), block=16)
+    @example(gens=validate_generators((37, 38)), block=16)  # gcd(m, 16) = 1
+    @example(gens=validate_generators((34, 35)), block=16)  # gcd 2
+    @example(gens=validate_generators((36, 37)), block=16)  # gcd 4
+    @example(gens=validate_generators((40, 41)), block=16)  # gcd 8
+    @example(gens=validate_generators((32, 33)), block=16)  # gcd 16
     @settings(max_examples=200)
-    def test_numbering_is_a_bijection_onto_each_class(self, gens, modulus):
+    def test_numbering_is_a_bijection_onto_each_class(self, gens, block):
         # gaps_at numbers the class-v gaps row by row; sorted, the numbered
-        # gaps must be exactly the class-v gaps of the gap list
+        # gaps must be exactly the class-v gaps of the gap list, whatever
+        # the number of rows class_counts takes at a time
         table = build_table(gens)
-        expected = classes_by_gap_list(table, modulus)
+        expected = classes_by_gap_list(table)
         if not all(expected):
             return  # build_gap_index refuses the key (see below)
-        idx = build_gap_index(table, modulus)
-        assert idx.modulus == modulus
+        with mock.patch.object(codec, "_BLOCK_ROWS", block):
+            idx = build_gap_index(table)
+        assert len(idx.classes) == 16
         for v, size in enumerate(idx.class_sizes()):
             assert sorted(idx.gaps_at(v, np.arange(size)).tolist()) == expected[v]
 
-    @given(gens=small_keys, modulus=moduli)
-    @example(gens=validate_generators((37, 38)), modulus=16)
+    @given(gens=small_keys)
+    @example(gens=validate_generators((37, 38)))
     @settings(max_examples=200)
-    def test_sizes_match_histogram(self, gens, modulus):
+    def test_sizes_match_histogram(self, gens):
         table = build_table(gens)
-        hist = residue_histogram(table, modulus).tolist()
+        hist = residue_histogram(table).tolist()
         if min(hist) > 0:
-            assert list(build_gap_index(table, modulus).class_sizes()) == hist
+            assert list(build_gap_index(table).class_sizes()) == hist
 
-    @given(gens=small_keys, modulus=moduli)
+    @given(gens=small_keys)
     @settings(max_examples=200)
-    def test_empty_class_names_smallest_residue(self, gens, modulus):
+    def test_empty_class_names_smallest_residue(self, gens):
         table = build_table(gens)
-        empty = [v for v, cls in enumerate(classes_by_gap_list(table, modulus)) if not cls]
+        empty = [v for v, cls in enumerate(classes_by_gap_list(table)) if not cls]
         if not empty:
-            build_gap_index(table, modulus)
+            build_gap_index(table)
             return
         with pytest.raises(EmptyClassError) as exc:
-            build_gap_index(table, modulus)
+            build_gap_index(table)
         assert exc.value.residue == empty[0]
 
     def test_empty_class_reported(self, table57):
         with pytest.raises(EmptyClassError) as exc:
-            build_gap_index(table57, 16)
+            build_gap_index(table57)
         assert exc.value.residue == 5
+
+    def test_odd_multiplicity_scratch_is_a_few_blocks(self):
+        # at odd m every row holds gaps of all 16 classes; the counts take
+        # a block of rows at a time, so past the index itself (16 * (m + 1)
+        # int64) and the histogram there is no m-sized temporary
+        m = 10**6 - 1
+        table = build_table(validate_generators((m, m + 1, m + 7, 2 * m + 3, 3 * m + 11)))
+        tracemalloc.start()
+        try:
+            hist = residue_histogram(table)
+            hist_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            idx = build_gap_index(table)
+            index_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        index_bytes = sum(c.nbytes for c in idx.classes)
+        assert index_bytes == 16 * (m + 1) * 8
+        assert hist_peak <= 4 * 2**20
+        assert index_peak <= index_bytes + 4 * 2**20
+        assert idx.class_sizes() == tuple(hist.tolist())
+        assert int(hist.sum()) == table.genus
 
 
 class TestEncodeMessage:
@@ -133,7 +151,7 @@ class TestEncodeMessage:
 
     def test_eventually_uses_every_gap(self, table3738, index3738):
         stream = encode_message(b"\x22" * 1000, index3738, random.Random(7))
-        assert set(stream.values.tolist()) == set(classes_by_gap_list(table3738, 16)[2])
+        assert set(stream.values.tolist()) == set(classes_by_gap_list(table3738)[2])
 
     def test_empty_payload(self, index3738):
         stream = encode_message(b"", index3738, random.Random(0))
@@ -145,17 +163,9 @@ class TestEncodeMessage:
         assert np.array_equal(a.values, b.values)
         assert len(a.values) == 14
 
-    def test_range_checked(self, table3738, index3738, table57):
-        # nibbles run over [0, 16), past the classes of a smaller modulus
-        with pytest.raises(ValueError):
-            encode_message(b"hi", build_gap_index(table57, 1), random.Random(0))
+    def test_range_checked(self, table3738, index3738):
         stream = encode_message(random.Random(0).randbytes(500), index3738, random.Random(0))
         assert 1 <= min(stream.values) and max(stream.values) <= table3738.frobenius
-
-    def test_requires_modulus_16(self, table57):
-        idx = build_gap_index(table57, 4)
-        with pytest.raises(ValueError):
-            encode_message(b"hi", idx, random.Random(0))
 
     @given(payload=st.binary(max_size=60), step=st.sampled_from([2, 4, 6, 10]),
            seed=st.integers(0, 2**32))
@@ -337,6 +347,23 @@ class TestSaltAudit:
         frac = measure_salt_gap_preservation(table3738, spec, 500, random.Random(1))
         assert 0 < frac < 1
         assert isinstance(frac, Fraction)
+
+    def test_draws_gaps_by_row_major_rank(self, table57):
+        # draw u is the u-th gap listed row by row, r, r + 5, ..., min_rep[r] - 5
+        spec = SaltSpec(1000, k_max=1)
+        drawn = []
+        is_member = SemigroupTable.is_member
+
+        def record(table, x):
+            drawn.append(x - spec.period)
+            return is_member(table, x)
+
+        with mock.patch.object(SemigroupTable, "is_member", record):
+            measure_salt_gap_preservation(table57, spec, 500, random.Random(3))
+        ranked = [x for r, top in enumerate(table57.min_rep.tolist()) for x in range(r, top, 5)]
+        u = generator_from(random.Random(3)).integers(table57.genus, size=500)
+        assert drawn == np.array(ranked)[u].tolist()
+        assert sorted(set(drawn)) == table57.gaps().tolist()
 
     def test_sample_count_checked(self, table57):
         spec = SaltSpec(period=35)

@@ -5,11 +5,15 @@ import math
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gapstego.keygen as keygen_mod
 from gapstego import (
+    EmptyClassError,
     KeygenParams,
     ViabilityFailure,
+    build_gap_index,
     build_table,
     check_viability,
     choose_salt_pair,
@@ -49,24 +53,47 @@ class TestParams:
 
 class TestCheckViability:
     def test_5_7_mod_16(self, table57):
-        v = check_viability(table57, 16)
+        v = check_viability(table57)
         assert v.per_class_gap_count[5] == 0
         assert not v.viable
 
     def test_5_7_mod_4(self, table57):
-        v = check_viability(table57, 4)
-        assert v.per_class_gap_count == (3, 3, 3, 3)
-        assert v.viable
-
-    def test_trivial_modulus(self, table57):
-        v = check_viability(table57, 1)
-        assert v.per_class_gap_count == (table57.genus,)
-        assert v.viable
+        # the mod-16 counts fold onto mod 4: 3 gaps in each class, yet
+        # classes 5, 10, 12, 14 and 15 mod 16 are empty
+        v = check_viability(table57)
+        assert tuple(sum(v.per_class_gap_count[r::4]) for r in range(4)) == (3, 3, 3, 3)
+        assert not v.viable
 
     def test_counts_sum_to_genus(self, table469):
-        for m in (1, 2, 3, 5, 16):
-            v = check_viability(table469, m)
-            assert sum(v.per_class_gap_count) == table469.genus
+        v = check_viability(table469)
+        assert len(v.per_class_gap_count) == 16
+        assert sum(v.per_class_gap_count) == table469.genus
+
+    @given(
+        st.lists(st.integers(2, 60), min_size=2, max_size=4)
+        .filter(lambda xs: math.gcd(*xs) == 1)
+        .map(validate_generators)
+    )
+    @example(validate_generators((5, 7)))  # not viable: class 5 is empty
+    @example(validate_generators((37, 38)))  # gcd(m, 16) = 1
+    @example(validate_generators((34, 35)))  # gcd 2
+    @example(validate_generators((36, 37)))  # gcd 4
+    @example(validate_generators((40, 41)))  # gcd 8
+    @example(validate_generators((32, 33)))  # gcd 16
+    @example(validate_generators((16, 17)))  # gcd 16, not viable
+    @settings(max_examples=200)
+    def test_viable_exactly_when_the_index_builds(self, gens):
+        # one definition: keygen's verdict is the encoder's
+        table = build_table(gens)
+        viability = check_viability(table)
+        try:
+            index = build_gap_index(table)
+        except EmptyClassError as exc:
+            assert not viability.viable
+            assert exc.residue == viability.per_class_gap_count.index(0)
+        else:
+            assert viability.viable
+            assert index.class_sizes() == viability.per_class_gap_count
 
 
 class TestAppendixCMode:
@@ -84,7 +111,7 @@ class TestAppendixCMode:
             assert math.gcd(*elems) == 1
             # padding is sums of the pair, so the pair is the whole story
             assert minimal_generators(key).elements == elems[:2]
-            assert check_viability(build_table(key), 16).viable
+            assert check_viability(build_table(key)).viable
 
     def test_frobenius_exceeds_256(self):
         # the pair (a, b) with a >= 500 makes F huge; spot the invariant anyway
@@ -111,7 +138,7 @@ class TestTelescopicMode:
             t = build_table(key)
             assert is_telescopic(key)
             assert t.is_symmetric()
-            assert check_viability(t, 16).viable
+            assert check_viability(t).viable
             assert len(key.elements) == 5
             # comparable magnitude: documented ratio cap
             assert key.elements[-1] <= 8 * key.elements[0]
