@@ -76,8 +76,8 @@ class ResidueTally:
         self.counts = np.zeros(self.modulus, dtype=np.int64)
 
     def add(self, values: "np.ndarray | Sequence[int]") -> None:
-        # stream values run up to 2**64 - 1, past int64, so reduce them as uint64
-        values = np.asarray(values, dtype=np.uint64)
+        """Count values, converted by CipherStream: it refuses what a stream cannot hold."""
+        values = CipherStream(values).values
         self.n_values += len(values)
         for i in range(0, len(values), CHUNK_VALUES):
             residues = values[i : i + CHUNK_VALUES] % np.uint64(self.modulus)
@@ -116,9 +116,7 @@ def build_report(
         tally = stream
     else:
         tally = ResidueTally(modulus)
-        if not isinstance(stream, CipherStream):
-            stream = CipherStream(stream)
-        tally.add(stream.values)
+        tally.add(stream.values if isinstance(stream, CipherStream) else stream)
     n = tally.n_values
     if n < 5 * modulus:
         raise InsufficientSamplesError(

@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import ResidueTally, build_report, gap_density
 from .codec import (
     CHUNK_VALUES,
+    DEFAULT_K_MAX,
     MODULUS,
     CipherStream,
     SaltSpec,
@@ -268,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="stream path (default stdout)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--salt", action="store_true", help="salt values with the key's salt pair")
-    p.add_argument("--k-max", type=int, default=64)
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.set_defaults(handler=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a gap stream back to bytes")

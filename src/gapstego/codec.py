@@ -26,6 +26,7 @@ below L.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,28 +104,33 @@ def class_counts(table: SemigroupTable, v: int) -> Iterator[tuple[int, np.ndarra
 class CipherStream:
     """Transmitted integer sequence, possibly salted.
 
-    values is a read-only uint64 array.  Any sequence of integers in
-    [0, 2**64 - 1] is converted; a uint64 array is taken as a view, not
-    copied.  salt_period is None for a bare gap stream and the salting
-    period L otherwise; it must ride along for the receiver to undo the
-    salt.
+    values is a read-only uint64 array.  Integers in [0, 2**64 - 1] are
+    converted, as an array or a sequence; a uint64 array is taken as a
+    view, not copied.  A negative value raises NegativeInputError, and an
+    array or sequence that numpy reads as floats, strings, bools or any
+    other non-integer type raises TypeError.  salt_period is None for a
+    bare gap stream and the salting period L otherwise; it must ride
+    along for the receiver to undo the salt.
     """
 
     values: np.ndarray
     salt_period: int | None = None
 
     def __post_init__(self) -> None:
-        values = self.values
+        given = self.values
+        values = np.asarray(given)
         negative = NegativeInputError("stream values must be non-negative")
-        # a signed array would wrap silently in the cast; Python ints raise
-        if isinstance(values, np.ndarray) and values.dtype.kind == "i" and (values < 0).any():
+        # numpy reads Python ints on both sides of int64 as floats, and ints
+        # past it as objects: those are converted one by one
+        if values.dtype.kind in "fO" and all(isinstance(v, numbers.Integral) for v in given):
+            if any(v < 0 for v in given):
+                raise negative
+            values = np.array(given, dtype=np.uint64)
+        elif values.dtype.kind == "i" and (values < 0).any():
             raise negative
-        try:
-            values = np.asarray(values, dtype=np.uint64).view()
-        except OverflowError:
-            if any(v < 0 for v in values):
-                raise negative from None
-            raise
+        elif values.dtype.kind not in "iu":
+            raise TypeError(f"stream values must be integers, got dtype {values.dtype}")
+        values = np.asarray(values, dtype=np.uint64).view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import AnyStr, BinaryIO, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,13 +55,11 @@ _U64_MAX = 2**64 - 1
 _TOKEN = re.compile("[0-9]+")
 _BLANKS = " \t"
 _LINE_BREAKS = "\r\n"
-_LINE_END = re.compile("\r\n|\r|\n")
-_BLANK_RUN = re.compile(f"[{_BLANKS}]+")
+_LINE_END = "\r\n|\r|\n"
 _SPACE = f"{_BLANKS}{_LINE_BREAKS}".encode()
 _HEADER = re.compile(f"[{_BLANKS}{_LINE_BREAKS}]*salt[^{_LINE_BREAKS}]*".encode())
 # 2**64 - 1 has 20 digits: a longer token is in range only when zero-padded
 _WIDTH = len(str(_U64_MAX))
-_U64_DIGITS = np.bytes_(str(_U64_MAX))
 _POW10 = np.uint64(10) ** np.arange(1, _WIDTH, dtype=np.uint64)
 
 
@@ -86,19 +84,27 @@ def serialize_key(key: KeyFile) -> str:
 def _parse_uint(text: str, what: str, maximum: int = _U64_MAX) -> int:
     if not _TOKEN.fullmatch(text):
         raise FormatError(f"{what}: expected a decimal integer, got {text!r}")
-    value = int(text)
-    if value > maximum:
-        raise FormatError(f"{what}: {value} outside [0, {maximum}]")
-    return value
+    # its decimal form; int reads a few thousand digits at most
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(maximum)) or int(digits) > maximum:
+        raise FormatError(f"{what}: {digits} outside [0, {maximum}]")
+    return int(digits)
+
+
+def _lines(text: AnyStr) -> list[AnyStr]:
+    """The lines of a key or stream that are not blank, without the blanks around them."""
+    cast = str if isinstance(text, str) else str.encode  # a str constant as text's type
+    lines = (line.strip(cast(_BLANKS)) for line in re.split(cast(_LINE_END), text))
+    return [line for line in lines if line]
 
 
 def _fields(line: str) -> list[str]:
-    """The fields of one line of a key or stream: the runs between its blanks."""
-    return _BLANK_RUN.split(line.strip(_BLANKS))
+    """The fields of a line without blanks around it: the runs between its blanks."""
+    return re.split(f"[{_BLANKS}]+", line)
 
 
 def parse_key(text: str) -> KeyFile:
-    lines = [ln.strip(_BLANKS) for ln in _LINE_END.split(text) if ln.strip(_BLANKS)]
+    lines = _lines(text)
     if not lines or lines[0] != KEY_MAGIC:
         raise FormatError(f"key file must start with {KEY_MAGIC!r}")
     if len(lines) < 3:
@@ -122,9 +128,7 @@ def parse_key(text: str) -> KeyFile:
     if pair_parts and pair_parts[0] == "salt-pair":
         if len(pair_parts) != 3:
             raise FormatError(f"salt-pair line needs two indices, got {rest[0]!r}")
-        i = _parse_uint(pair_parts[1], "salt-pair index")
-        j = _parse_uint(pair_parts[2], "salt-pair index")
-        salt_pair = (i, j)
+        salt_pair = tuple(_parse_uint(part, "salt-pair index") for part in pair_parts[1:])
         rest = rest[1:]
 
     if not rest:
@@ -184,8 +188,7 @@ def parse_stream(data: bytes | str, after: CipherStream | None = None) -> Cipher
     salt_period = after.salt_period if after is not None else None
     header = _HEADER.match(data) if after is None else None
     if header:
-        raw = header.group().strip(_SPACE)
-        line = _line_text(raw, "salt header")
+        line = _line_text(_lines(header.group())[0], "salt header")
         parts = _fields(line)
         if len(parts) != 2 or parts[0] != "salt":
             raise FormatError(f"salt header must be 'salt <L>', got {line!r}")
@@ -267,46 +270,31 @@ def _parse_values(body: bytes | memoryview) -> np.ndarray:
     raw = b"".join((b" " * _WIDTH, body, b"\n"))
     buf = np.frombuffer(raw, dtype=np.uint8)
     breaks = _any_of(buf, _LINE_BREAKS)
-    word = _any_of(buf, _BLANKS)
-    word |= breaks
-    np.logical_not(word, out=word)
+    gap = _any_of(buf, _BLANKS)
+    gap |= breaks
     # words and the gaps between them alternate, from a gap to a gap
-    edges = np.flatnonzero(word[1:] != word[:-1])
+    edges = np.flatnonzero(gap[1:] != gap[:-1])
+    del gap
     edges += 1
     starts, ends = edges[0::2], edges[1::2]
     if not len(starts):
         return np.zeros(0, dtype=np.uint64)
     lengths = ends - starts
-
-    # a fault is a position in a bad line; the earliest lies in the first one
-    faults = []
-    digit = buf - np.uint8(ord("0")) < 10  # the bytes of _TOKEN
-    if np.count_nonzero(digit) < lengths.sum():
-        faults.append(int((word & ~digit).argmax()))
-    del word, digit
-    # two words share a line when no line break lies between them
-    shared = ~np.logical_or.reduceat(breaks, ends)[:-1]
-    if shared.any():
-        faults.append(int(starts[shared.argmax() + 1]))
-    wide = np.flatnonzero(lengths >= _WIDTH)
-    if wide.size:
-        last = sliding_window_view(buf, _WIDTH)[ends[wide] - _WIDTH]
-        big = last.view(f"S{_WIDTH}").ravel() > _U64_DIGITS
-        # a longer token is in range only when every digit before its last
-        # _WIDTH is a 0: OR over [start, end - _WIDTH) of each such token
-        longer = lengths[wide] > _WIDTH
-        if longer.any():
-            cuts = np.stack((starts[wide[longer]], ends[wide[longer]] - _WIDTH), axis=1)
-            big[longer] |= np.logical_or.reduceat(buf != ord("0"), cuts.ravel())[0::2]
-        if big.any():
-            faults.append(int(starts[wide[big.argmax()]]))
-    if faults:
-        at = min(faults)
-        begin = max(raw.rfind(b, 0, at) for b in _LINE_BREAKS.encode()) + 1
-        end = min(i for b in _LINE_BREAKS.encode() if (i := raw.find(b, at)) >= 0)
-        line = raw[begin:end].strip(_BLANKS.encode())
-        _parse_uint(_line_text(line, "stream value"), "stream value")
-        raise AssertionError(f"line {line!r} was refused but parses")
+    # a word holds a byte other than a digit, two words share a line (no line
+    # break lies between them), or a token of 20 digits or more passes 2**64 - 1
+    wide = lengths >= _WIDTH
+    if (
+        np.count_nonzero(buf - np.uint8(ord("0")) < 10) < lengths.sum()
+        or not np.logical_or.reduceat(breaks, ends)[:-1].all()
+        or any(
+            len(token := raw[i:j].lstrip(b"0")) > _WIDTH or int(token or b"0") > _U64_MAX
+            for i, j in zip(starts[wide].tolist(), ends[wide].tolist())
+        )
+    ):
+        # the line rule names the first bad line
+        for line in _lines(raw):
+            _parse_uint(_line_text(line, "stream value"), "stream value")
+        raise AssertionError("a chunk was refused but its every line parses")
 
     # the last `width` bytes of each word, read as digits; those in front of
     # the word count as 0

@@ -20,6 +20,9 @@ import numpy as np
 
 from . import analysis, codec, formulas, keygen, semigroup
 
+# The numbers of stream values after which check_pair_search counts what is left.
+PAIR_SEARCH_AT = (8, 16, 32, 64, 128)
+
 
 def random_family(rng: random.Random, count: int, max_value: int) -> list:
     """(gens, table) for `count` random sets of 2..6 values in [2, max_value], gcd 1."""
@@ -97,6 +100,19 @@ def viable_key(seed: int, mode: str) -> ViableKey:
     pair = keygen.choose_salt_pair(gens, table)
     salt = None if pair is None else codec.SaltSpec.from_generators(gens, *pair)
     return ViableKey(gens, table, codec.build_gap_index(table), salt)
+
+
+def appendix_c_battery(seeds: Iterable[int]) -> list:
+    """(pair, values) for the appendix-c key at each seed: its first two
+    generators, and the 128 values that encode Random(1000 + seed).randbytes(64)
+    with the draws of Random(2000 + seed)."""
+    battery = []
+    for seed in seeds:
+        key = viable_key(seed, "appendix-c")
+        payload = random.Random(1000 + seed).randbytes(64)
+        stream = codec.encode_message(payload, key.index, random.Random(2000 + seed))
+        battery.append((tuple(key.gens[:2]), stream.values.tolist()))
+    return battery
 
 
 def check_oracle(family: Sequence, rng: random.Random) -> int:
@@ -249,6 +265,35 @@ def check_bounds(minimal: Sequence[int], frobenius: int, genus: int) -> int:
     return 1
 
 
+def check_pair_search(battery: Sequence) -> list[tuple[int, ...]]:
+    """Per key, the pairs a keyless search leaves after each of PAIR_SEARCH_AT values.
+
+    An appendix-c key is the semigroup of its coprime pair (a, b), with a and
+    b - a in keygen's ranges.  The search keeps each such pair while every
+    value x seen is a gap of <a, b>, that is while (x * b^-1 mod a) * b > x.
+    The key's own pair is never ruled out.
+    """
+    params = keygen.KeygenParams(seed=0)
+    a, d = np.meshgrid(
+        np.arange(params.base_min, params.base_max + 1), np.arange(1, params.spread_max + 1)
+    )
+    coprime = np.gcd(a, a + d) == 1
+    a, b = a[coprime], (a + d)[coprime]
+    inverse = np.array([pow(y, -1, x) for x, y in zip(a.tolist(), b.tolist())])
+    survivors = []
+    for pair, values in battery:
+        left = np.arange(len(a))
+        counts = []
+        for n, x in enumerate(values, 1):
+            left = left[(x * inverse[left] % a[left]) * b[left] > x]
+            if n in PAIR_SEARCH_AT:
+                counts.append(len(left))
+        if pair not in zip(a[left].tolist(), b[left].tolist()):
+            raise AssertionError(f"appendix-c pair {pair} not left after its {len(values)} values")
+        survivors.append(tuple(counts))
+    return survivors
+
+
 def _geometric(rng: random.Random) -> int:
     check_geometric_shortcut()
     return check_geometric(geometric_family(5, 3)) + 1
@@ -257,6 +302,12 @@ def _geometric(rng: random.Random) -> int:
 def _codec(rng: random.Random) -> int:
     keys = [viable_key(rng.getrandbits(63), mode) for mode in keygen.MODES]
     return sum(check_codec(keys, rng, 20, 256))
+
+
+def _pair_search(rng: random.Random) -> int:
+    battery = appendix_c_battery(rng.getrandbits(63) for _ in range(2))
+    check_pair_search(battery)
+    return sum(len(values) for _, values in battery)
 
 
 def _bounds(rng: random.Random) -> int:
@@ -280,6 +331,7 @@ _SUITES: tuple[tuple[str, Callable[[random.Random], int]], ...] = (
     ),
     ("codec-round-trip", _codec),
     ("bound-checks", _bounds),
+    ("appendix-c-pair-search", _pair_search),
 )
 
 

@@ -363,3 +363,29 @@ def test_criterion_12_salting_audit(viable_keys, telescopic_family):
         f"{identities} exact inversions; preserved fractions {frac_wide}"
         + (f" and {frac_short}" if frac_short is not None else ""),
     )
+
+
+def test_criterion_13_appendix_c_pair_search():
+    """A keyless search recovers every appendix-c key of the battery from 128 values.
+
+    An appendix-c key is the semigroup of its coprime pair (a, b), with
+    500 <= a <= 1000 and 1 <= b - a <= 200: 61,053 pairs.  The search keeps
+    each pair of which every observed value is a gap.  It is exact: the
+    key's own pair is never ruled out.  Battery: keygen seeds 0-19, the
+    64-byte payload Random(1000 + seed).randbytes(64), encoded with
+    Random(2000 + seed).  After 128 values (64 payload bytes) the key's
+    pair must be the only one left, for every key.  This is a measured
+    weakness of the mode, stated in the README.
+    """
+    battery = selftest.appendix_c_battery(range(20))
+    with _reported(13, "appendix-c-pair-search"):
+        survivors = selftest.check_pair_search(battery)
+    alone = [sum(counts[k] == 1 for counts in survivors) for k in range(len(selftest.PAIR_SEARCH_AT))]
+    _report(
+        13,
+        "appendix-c-pair-search",
+        alone[-1] == len(battery),
+        f"keys whose pair is left alone after {'/'.join(map(str, selftest.PAIR_SEARCH_AT))}"
+        f" values: {'/'.join(map(str, alone))} of {len(battery)}; most pairs left"
+        f" {'/'.join(str(max(column)) for column in zip(*survivors))}",
+    )

@@ -159,6 +159,67 @@ class TestChiSquare:
         )
 
 
+def _stream_counts(values):
+    residues = CipherStream(values).values % np.uint64(13)
+    return tuple(np.bincount(residues.astype(np.int64), minlength=13).tolist())
+
+
+def _tally_counts(values):
+    tally = ResidueTally(13)
+    tally.add(values)
+    return tuple(tally.counts.tolist())
+
+
+# each entry point that takes stream values, as the counts mod 13 of what it takes in
+STREAM_ENTRY_POINTS = {
+    "CipherStream": _stream_counts,
+    "ResidueTally.add": _tally_counts,
+    "build_report": lambda values: build_report(values, 13).class_histogram,
+}
+# 0, 2**63 and 2**64 - 1 fall in three classes mod 13; 66 values pass the sample floor
+EDGE_VALUES = [0, 2**63, 2**64 - 1] * 22
+
+
+class TestStreamValueRule:
+    """Every entry point takes the same stream values and refuses the same others."""
+
+    @pytest.mark.parametrize("entry", STREAM_ENTRY_POINTS.values(), ids=STREAM_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "values",
+        [EDGE_VALUES, tuple(EDGE_VALUES), np.array(EDGE_VALUES, dtype=np.uint64)],
+        ids=["list", "tuple", "uint64"],
+    )
+    def test_same_values_accepted(self, entry, values):
+        assert entry(values) == tuple(sum(v % 13 == c for v in EDGE_VALUES) for c in range(13))
+
+    @pytest.mark.parametrize("entry", STREAM_ENTRY_POINTS.values(), ids=STREAM_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            (np.array([-1, 5] * 40), NegativeInputError),
+            (np.array([5, -(2**63)] * 40), NegativeInputError),
+            # numpy reads these Python ints as float64, but they are ints
+            ([-1, 2**64 - 1] * 40, NegativeInputError),
+            (np.array([-1.0, 2.0] * 40), TypeError),
+            (np.array([1.5, 2.0] * 40), TypeError),
+            ([1.5, 2] * 40, TypeError),
+            ([-1.0, 2.5] * 40, TypeError),
+            (["12"] * 80, TypeError),
+            (np.array(["12"] * 80), TypeError),
+            (np.array([b"12"] * 80), TypeError),
+            ([True, False] * 40, TypeError),
+            (np.array([1 + 0j] * 80), TypeError),
+        ],
+        ids=["int64", "int64-min", "mixed-ints", "neg-float", "fraction", "float-list",
+             "neg-float-list", "str-list", "str-array", "bytes-array", "bools", "complex"],
+    )
+    def test_same_values_refused(self, entry, values, error):
+        with pytest.raises(error) as exc:
+            entry(values)
+        if error is TypeError:
+            assert str(exc.value).startswith("stream values must be integers, got dtype ")
+
+
 class TestWindows:
     def test_full_interval_of_symmetric_key(self, table57):
         # the window [0, F] of a symmetric key holds as many gaps as members

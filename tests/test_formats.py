@@ -92,6 +92,13 @@ class TestKeyFormat:
         with pytest.raises(FormatError):
             parse_key(f"frobkey/1\nmode telescopic\nseed {big}\n5\n7\n")
 
+    def test_numbers_longer_than_int_reads(self):
+        # int reads at most 4,300 digits
+        key = parse_key(f"frobkey/1\nmode telescopic\nseed {'0' * 5000}9\n5\n7\n")
+        assert key.seed == 9
+        with pytest.raises(FormatError, match=f"^seed: {'9' * 5000} outside"):
+            parse_key(f"frobkey/1\nmode telescopic\nseed {'9' * 5000}\n5\n7\n")
+
     @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("blank", [" ", "\t", " \t "])
     def test_stream_line_grammar_accepted(self, brk, blank):
@@ -173,6 +180,17 @@ class TestStreamFormat:
         assert parse_stream(text) == CipherStream((0, 2**64 - 1, 7))
         with pytest.raises(FormatError, match=f"^stream value: {2**64} outside"):
             parse_stream(f"{'0' * 10}{2**64}\n")
+
+    def test_tokens_longer_than_int_reads(self):
+        # int reads at most 4,300 digits: a zero-padded good line of more is
+        # still read, and a larger number is named as out of range
+        token = "0" * 5000 + "7"
+        assert parse_stream(f"{token}\n8\n") == CipherStream((7, 8))
+        with pytest.raises(FormatError, match="^stream value: expected a decimal integer, got 'x'$"):
+            parse_stream(f"{token}\nx\n")
+        with pytest.raises(FormatError) as exc:
+            parse_stream(f"1\n{'9' * 5000}\n")
+        assert str(exc.value) == f"stream value: {'9' * 5000} outside [0, {2**64 - 1}]"
 
     @pytest.mark.parametrize(
         "line",

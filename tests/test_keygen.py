@@ -4,6 +4,7 @@ import hashlib
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from gapstego import (
     generate_key,
     is_telescopic,
     minimal_generators,
+    selftest,
     validate_generators,
 )
 
@@ -125,6 +127,26 @@ class TestAppendixCMode:
     def test_n_elements_respected(self):
         key = generate_key(KeygenParams(seed=4, mode="appendix-c", n_elements=7))
         assert len(key.elements) == 7
+
+
+class TestPairSearch:
+    """selftest.check_pair_search, the keyless search criterion 13 runs."""
+
+    @pytest.mark.parametrize("x", [1001, 1503, 2002, 2500, 4321])
+    def test_rules_out_exactly_the_pairs_holding_the_value(self, x):
+        # x is a gap of (999, 1000); 1503 = 3 * 501 and 2002 = 2 * 1001 are
+        # members of pairs only as multiples of b, which the rule must catch
+        a, d = np.meshgrid(np.arange(500, 1001), np.arange(1, 201))
+        a, b = a[np.gcd(a, a + d) == 1], (a + d)[np.gcd(a, a + d) == 1]
+        member = np.zeros(len(a), dtype=bool)
+        for k in range(x // 500 + 1):
+            member |= (x >= k * b) & ((x - k * b) % a == 0)
+        with mock.patch.object(selftest, "PAIR_SEARCH_AT", (1,)):
+            assert selftest.check_pair_search([((999, 1000), [x])]) == [(len(a) - member.sum(),)]
+
+    def test_key_pair_must_be_left(self):
+        with pytest.raises(AssertionError, match=r"^appendix-c pair \(500, 501\) not left"):
+            selftest.check_pair_search([((500, 501), [1000])])
 
 
 class TestTelescopicMode:
