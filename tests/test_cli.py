@@ -411,6 +411,29 @@ class TestPinnedStreams:
             assert main(args + ["--salt"] * salt) == 0
             assert hashlib.sha256(stream.read_bytes()).hexdigest() == self.PINS[name, salt]
 
+    # encode --seed 5 of a 40 KiB payload: 81,920 values, so the stream crosses
+    # two chunk boundaries, pinned before the encoder drew a chunk in one pass
+    MULTI_CHUNK_PINS = {
+        ("readme", False): "dc15942191a467720f25b6615a61d047939c8cf95f64059345157b38366c7527",
+        ("readme", True): "2890731e2fa7a61b375aed61b0959434a0a8890b78cf426ce188d230f7d0ad7e",
+        ("bigkey", False): "9ab03fd73451440be0f5726ba45b9f0b4d84e51ce52e4fe19d646e7378c12857",
+        ("bigkey", True): "3cb16efc677507a059e413b97b6c9bcc68f99aad78314dd7a429cdf8956148f7",
+    }
+
+    @pytest.mark.parametrize("name,gens,pair", [
+        ("readme", README_GENS, (3, 4)), ("bigkey", BIGKEY_GENS, (10, 11))])
+    def test_multi_chunk_stream_unchanged(self, tmp_path, name, gens, pair):
+        key = write_key(tmp_path, gens, seed=1, salt_pair=pair)
+        src = tmp_path / "p.bin"
+        src.write_bytes(random.Random(0).randbytes(40 * 1024))
+        assert 2 * 40 * 1024 > 2 * codec.CHUNK_VALUES
+        for salt in (False, True):
+            stream = tmp_path / "s.txt"
+            args = ["encode", "--key", str(key), "--in", str(src), "--out", str(stream), "--seed", "5"]
+            assert main(args + ["--salt"] * salt) == 0
+            digest = hashlib.sha256(stream.read_bytes()).hexdigest()
+            assert digest == self.MULTI_CHUNK_PINS[name, salt]
+
 
 @contextlib.contextmanager
 def chunk_sizes(values, text_bytes):
