@@ -29,6 +29,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -36,6 +37,7 @@ import numpy as np
 
 from .errors import (
     EmptyClassError,
+    LimitError,
     MissingSaltPeriodError,
     NegativeInputError,
     OddLengthError,
@@ -56,21 +58,90 @@ _BLOCK_ROWS = 1 << 15
 class GapIndex:
     """Running gap counts per residue class mod 16 over the rows of the table.
 
+    classes is one read-only (16, m // gcd(m, 16) + 1) int64 array, and
     classes[v][i] counts the gaps congruent to v in the rows before the
     i-th that can hold any (see class_gaps).
     """
 
     multiplicity: int
-    classes: tuple[np.ndarray, ...]
+    classes: np.ndarray
 
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(int(c[-1]) for c in self.classes)
+        return tuple(self.classes[:, -1].tolist())
+
+    @cached_property
+    def directory(self) -> tuple[np.ndarray, np.ndarray]:
+        """(shift, rows), built on the first draw: the ranks of class v fall in
+        buckets of W = 2**shift[v], the power of two at or above the class's
+        mean row length, and rows[v][b] is the last row whose start is <= b * W.
+
+        rows has at most one entry per row of the index, in the narrowest
+        unsigned type that holds a row number (at most 32 bits), so it is at
+        most half the index's bytes.  Entries past a class's last bucket are 0.
+        """
+        n_rows = self.classes.shape[1] - 1
+        sizes = self.classes[:, -1].tolist()
+        shift = np.array([(-(-size // n_rows) - 1).bit_length() for size in sizes])
+        buckets = max(-(-size >> int(s)) for size, s in zip(sizes, shift))
+        rows = np.zeros((MODULUS, buckets), dtype=np.min_scalar_type(n_rows))
+        for v, (starts, s) in enumerate(zip(self.classes, shift)):
+            # row i holds the ranks [starts[i], starts[i + 1]), so it is the entry
+            # of buckets ceil(starts[i] / W) up to ceil(starts[i + 1] / W) - 1
+            for i0 in range(0, n_rows, _BLOCK_ROWS):
+                first = -(-starts[i0 : i0 + _BLOCK_ROWS + 1] >> s)
+                rows[v, first[0] : first[-1]] = np.repeat(
+                    np.arange(i0, i0 + len(first) - 1, dtype=rows.dtype), np.diff(first)
+                )
+        return shift, rows
 
     def gaps_at(self, v: int, u: np.ndarray) -> np.ndarray:
         """The gaps of class v numbered u row by row, 0 <= u < class size."""
-        starts = self.classes[v]
-        i = np.searchsorted(starts, u, side="right") - 1
-        return class_gaps(self.multiplicity, v, i, u - starts[i])
+        u = np.array(u, dtype=np.int64)
+        counts = [u.size if w == v else 0 for w in range(MODULUS)]
+        return self._gaps(counts, u.ravel()).reshape(u.shape)
+
+    def _gaps(self, counts: list[int], u: np.ndarray) -> np.ndarray:
+        """The gaps numbered u, an int64 array of ranks by class: the first
+        counts[0] of class 0, then counts[1] of class 1, and so on.  u is
+        overwritten with the gaps."""
+        m = self.multiplicity
+        g = math.gcd(m, MODULUS)
+        c = MODULUS // g
+        shift, rows = self.directory
+        v = np.arange(MODULUS)
+
+        def per_value(per_class: np.ndarray) -> np.ndarray:
+            return np.repeat(per_class, counts)
+
+        # each value's bucket, then the bucket's row in its place
+        row = per_value(shift)
+        np.right_shift(u, row, out=row)
+        row += per_value(v * rows.shape[1])
+        row[:] = rows.ravel()[row]
+        # as a position in classes.ravel(), where row i of class v is v * (m // g + 1) + i
+        first_row = v * self.classes.shape[1]
+        row += per_value(first_row)
+        # a bucket spans a few rows: step on while the next row starts at or before u
+        starts = self.classes.ravel()
+        while (step := starts[1:][row] <= u).any():
+            row += step
+        del step
+        # class_gaps(m, v, i, u - classes[v, i]), in place
+        u -= starts[row]
+        i = row
+        i -= per_value(first_row)
+        j0 = per_value(v // g)
+        j0 -= i
+        j0 *= pow(m // g, -1, c)
+        j0 &= c - 1  # c is a power of two: j0 mod c
+        u *= c
+        u += j0
+        del j0
+        u *= m
+        i *= g
+        u += i
+        u += per_value(v % g)
+        return u
 
 
 def class_gaps(m: int, v: int, i: np.ndarray, k: np.ndarray | int = 0) -> np.ndarray:
@@ -106,7 +177,8 @@ class CipherStream:
 
     values is a read-only uint64 array.  Integers in [0, 2**64 - 1] are
     converted, as an array or a sequence; a uint64 array is taken as a
-    view, not copied.  A negative value raises NegativeInputError, and an
+    view, not copied.  A negative value raises NegativeInputError and a
+    value past 2**64 - 1 LimitError, both naming the range, and an
     array or sequence that numpy reads as floats, strings, bools or any
     other non-integer type raises TypeError.  salt_period is None for a
     bare gap stream and the salting period L otherwise; it must ride
@@ -119,18 +191,22 @@ class CipherStream:
     def __post_init__(self) -> None:
         given = self.values
         values = np.asarray(given)
-        negative = NegativeInputError("stream values must be non-negative")
+        kind = values.dtype.kind
         # numpy reads Python ints on both sides of int64 as floats, and ints
         # past it as objects: those are converted one by one
-        if values.dtype.kind in "fO" and all(isinstance(v, numbers.Integral) for v in given):
-            if any(v < 0 for v in given):
-                raise negative
-            values = np.array(given, dtype=np.uint64)
-        elif values.dtype.kind == "i" and (values < 0).any():
-            raise negative
-        elif values.dtype.kind not in "iu":
+        if kind in "fO" and all(isinstance(v, numbers.Integral) for v in given):
+            low, high = min(given, default=0), max(given, default=0)
+        elif kind == "i":
+            low, high = int(values.min(initial=0)), 0
+        elif kind == "u":
+            low = high = 0
+        else:
             raise TypeError(f"stream values must be integers, got dtype {values.dtype}")
-        values = np.asarray(values, dtype=np.uint64).view()
+        if low < 0:
+            raise NegativeInputError(f"stream values must lie in [0, 2**64 - 1], got {low}")
+        if high > 2**64 - 1:
+            raise LimitError(f"stream values must lie in [0, 2**64 - 1], got {high}")
+        values = np.asarray(given if kind in "fO" else values, dtype=np.uint64).view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -182,15 +258,14 @@ def build_gap_index(table: SemigroupTable) -> GapIndex:
     no gap, since such a key cannot carry that nibble value.
     """
     m = table.multiplicity
-    classes = []
-    for v in range(MODULUS):
-        starts = np.zeros(m // math.gcd(m, MODULUS) + 1, dtype=np.int64)
+    classes = np.zeros((MODULUS, m // math.gcd(m, MODULUS) + 1), dtype=np.int64)
+    for v, starts in enumerate(classes):
         for i0, counts in class_counts(table, v):
             starts[i0 + 1 : i0 + 1 + len(counts)] = counts.cumsum() + starts[i0]
         if starts[-1] == 0:
             raise EmptyClassError(v)
-        classes.append(starts)
-    return GapIndex(m, tuple(classes))
+    classes.flags.writeable = False
+    return GapIndex(m, classes)
 
 
 def generator_from(rng: random.Random | np.random.Generator) -> np.random.Generator:
@@ -206,20 +281,24 @@ def encode_message(
 ) -> CipherStream:
     """Encode bytes as gap values, two per byte, high nibble first.
 
-    Each chunk of CHUNK_VALUES // 2 bytes draws its values a class at a
-    time from generator_from(rng).
+    Each chunk of CHUNK_VALUES // 2 bytes draws the ranks of its values a
+    class at a time from generator_from(rng), one call per class in class
+    order, and turns them into gaps in one pass through index.directory.
     """
     gen = generator_from(rng)
     data = np.frombuffer(payload, dtype=np.uint8)
     values = np.empty(2 * len(data), dtype=np.uint64)
     step = CHUNK_VALUES // 2
+    sizes = index.class_sizes()
     for i in range(0, len(data), step):
         piece = data[i : i + step]
         nibbles = np.stack((piece >> 4, piece & 0xF), axis=1).ravel()
+        # the positions of class 0, then of class 1, ..., each in stream order
+        order = np.argsort(nibbles, kind="stable")
+        counts = np.bincount(nibbles, minlength=MODULUS).tolist()
+        ranks = np.concatenate([gen.integers(size, size=n) for size, n in zip(sizes, counts)])
         out = values[2 * i : 2 * i + len(nibbles)]
-        for v, size in enumerate(index.class_sizes()):
-            at = np.flatnonzero(nibbles == v)
-            out[at] = index.gaps_at(v, gen.integers(size, size=len(at)))
+        out[order] = index._gaps(counts, ranks).view(np.uint64)
     return CipherStream(values)
 
 

@@ -60,7 +60,6 @@ _SPACE = f"{_BLANKS}{_LINE_BREAKS}".encode()
 _HEADER = re.compile(f"[{_BLANKS}{_LINE_BREAKS}]*salt[^{_LINE_BREAKS}]*".encode())
 # 2**64 - 1 has 20 digits: a longer token is in range only when zero-padded
 _WIDTH = len(str(_U64_MAX))
-_POW10 = np.uint64(10) ** np.arange(1, _WIDTH, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -163,18 +162,34 @@ def serialize_stream(stream: CipherStream, after: CipherStream | None = None) ->
 
 def _format_values(values: np.ndarray) -> np.ndarray:
     """The ASCII lines of some values, each its digits and a line break."""
-    # one row per value: its digits right-aligned, then a line break
-    lengths = np.searchsorted(_POW10, values, side="right") + 1
-    width = int(lengths.max(initial=0))
-    rows = np.empty((len(values), width + 1), dtype=np.uint8)
-    rest, digit = values.copy(), np.empty_like(values)
-    for col in range(width - 1, -1, -1):
-        np.divmod(rest, np.uint64(10), out=(rest, digit))
-        rows[:, col] = digit
-    rows += np.uint8(ord("0"))
-    rows[:, width] = ord("\n")
-    keep = np.arange(width + 1, dtype=np.uint8) >= (width - lengths).astype(np.uint8)[:, None]
-    return rows[keep]
+    top = int(values.max(initial=0))
+    width = len(str(top))
+    # digit lengths and digits are worked out in the narrowest type that holds the largest value
+    rest = values.astype(np.min_scalar_type(top))
+    lines = np.full(len(values), 2, dtype=np.uint8)  # bytes of each line
+    for power in range(1, width):
+        lines += rest >= 10**power
+    # where each line break goes in a buffer with `width` bytes of slack in front
+    ends = np.cumsum(lines, dtype=np.intp)
+    del lines
+    ends += width - 1
+    digits = np.empty((width, len(values)), dtype=np.uint8)  # units first
+    tens = np.empty_like(rest)
+    for col in range(width):
+        np.floor_divide(rest, 10, out=tens)
+        digits[col] = rest - tens * 10
+        rest, tens = tens, rest
+    digits += np.uint8(ord("0"))
+    # each value writes all `width` digits, the highest first: the zeros in front
+    # of a short one fall on the lines before it (or the slack), where the bytes'
+    # own values are written by a later, lower column, and the line breaks last
+    buf = np.empty(int(ends[-1]) + 1 if len(values) else width, dtype=np.uint8)
+    at = ends - width
+    for column in digits[::-1]:
+        buf[at] = column
+        at += 1
+    buf[ends] = ord("\n")
+    return buf[width:]
 
 
 def parse_stream(data: bytes | str, after: CipherStream | None = None) -> CipherStream:

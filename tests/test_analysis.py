@@ -14,6 +14,7 @@ from gapstego import (
     CipherStream,
     analysis,
     InsufficientSamplesError,
+    LimitError,
     NegativeInputError,
     ResidueTally,
     build_gap_index,
@@ -200,6 +201,10 @@ class TestStreamValueRule:
             (np.array([5, -(2**63)] * 40), NegativeInputError),
             # numpy reads these Python ints as float64, but they are ints
             ([-1, 2**64 - 1] * 40, NegativeInputError),
+            # numpy reads Python ints past 2**64 - 1 as objects
+            ([2**64] * 80, LimitError),
+            ([5, 2**64 + 7] * 40, LimitError),
+            (np.array([0, 2**70] * 40, dtype=object), LimitError),
             (np.array([-1.0, 2.0] * 40), TypeError),
             (np.array([1.5, 2.0] * 40), TypeError),
             ([1.5, 2] * 40, TypeError),
@@ -210,14 +215,17 @@ class TestStreamValueRule:
             ([True, False] * 40, TypeError),
             (np.array([1 + 0j] * 80), TypeError),
         ],
-        ids=["int64", "int64-min", "mixed-ints", "neg-float", "fraction", "float-list",
-             "neg-float-list", "str-list", "str-array", "bytes-array", "bools", "complex"],
+        ids=["int64", "int64-min", "mixed-ints", "past-u64", "past-u64-mixed", "past-u64-objects",
+             "neg-float", "fraction", "float-list", "neg-float-list", "str-list", "str-array",
+             "bytes-array", "bools", "complex"],
     )
     def test_same_values_refused(self, entry, values, error):
         with pytest.raises(error) as exc:
             entry(values)
         if error is TypeError:
             assert str(exc.value).startswith("stream values must be integers, got dtype ")
+        else:
+            assert str(exc.value).startswith("stream values must lie in [0, 2**64 - 1], got ")
 
 
 class TestWindows:

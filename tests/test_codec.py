@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gap_index_reference
+
 from gapstego import (
     CipherStream,
     codec,
@@ -134,7 +136,68 @@ class TestGapIndex:
         assert int(hist.sum()) == table.genus
 
 
+def gcd_examples(**fixed):
+    """Explicit examples at each gcd(m, 16), and at (33, 34), whose buckets step
+    over the most rows (up to 8, most of them empty for the class) of the
+    coprime pairs below 41."""
+    keys = [(37, 38), (34, 35), (36, 37), (40, 41), (32, 33), (33, 34)]
+
+    def wrap(test):
+        for gens in keys:
+            test = example(gens=validate_generators(gens), **fixed)(test)
+        return test
+
+    return wrap
+
+
+class TestRankDirectory:
+    @given(gens=small_keys, block=st.sampled_from([16, 1 << 15]))
+    @gcd_examples(block=16)
+    @example(gens=validate_generators((568, 3692, 4084, 4314, 4483)), block=16)
+    @settings(max_examples=200)
+    def test_entry_is_last_row_starting_at_or_before_its_bucket(self, gens, block):
+        try:
+            idx = build_gap_index(build_table(gens))
+        except EmptyClassError:
+            return
+        with mock.patch.object(codec, "_BLOCK_ROWS", block):
+            shift, rows = idx.directory
+        n_rows = idx.classes.shape[1] - 1
+        assert rows.nbytes <= idx.classes.nbytes // 2
+        for v, starts in enumerate(idx.classes):
+            size, w = int(starts[-1]), 1 << int(shift[v])
+            # W is the power of two at or above the mean row length
+            assert w * n_rows >= size and (w == 1 or w // 2 * n_rows < size)
+            buckets = -(-size // w)
+            assert buckets <= rows.shape[1] <= n_rows
+            last = [max(i for i in range(n_rows) if starts[i] <= b * w) for b in range(buckets)]
+            assert rows[v, :buckets].tolist() == last
+
+    def test_built_on_the_first_draw(self, table3738):
+        idx = build_gap_index(table3738)
+        encode_message(b"", idx, random.Random(0))
+        assert "directory" not in vars(idx)
+        encode_message(b"\x00", idx, random.Random(0))
+        assert "directory" in vars(idx)
+
+
 class TestEncodeMessage:
+    @given(gens=small_keys, payload=st.binary(max_size=40),
+           chunk=st.sampled_from([2, 4, 6, 8, 10]), seed=st.integers(0, 2**32))
+    @gcd_examples(payload=bytes(range(256)), chunk=10, seed=1)
+    @settings(max_examples=200)
+    def test_matches_reference(self, gens, payload, chunk, seed):
+        # the one-pass chunk gives the values of the class-by-class binary search
+        try:
+            idx = build_gap_index(build_table(gens))
+        except EmptyClassError:
+            return
+        with (mock.patch.object(codec, "CHUNK_VALUES", chunk),
+              mock.patch.object(codec, "_BLOCK_ROWS", 16)):
+            expected = gap_index_reference.encode_message(payload, idx, random.Random(seed))
+            got = encode_message(payload, idx, random.Random(seed)).values
+        assert np.array_equal(got, expected)
+
     def test_two_values_per_byte_high_first(self, index3738):
         stream = encode_message(b"\x4a", index3738, random.Random(0))
         assert len(stream.values) == 2

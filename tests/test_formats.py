@@ -255,6 +255,23 @@ class TestStreamReference:
         check_serialize(values, period)
 
 
+class TestFormatBoundaries:
+    """A chunk's digits are computed in the narrowest type that holds its largest
+    value, so each type's edges and each digit count's edges are checked."""
+
+    @pytest.mark.parametrize("top", [0, 9, 10, 255, 256, 65_535, 65_536, 2**32 - 1, 2**32,
+                                     10**19, 2**64 - 1])
+    def test_serialize_matches_str(self, top):
+        rng = random.Random(top)
+        below = [0, 1, 9, 10, 99, 100, 255, 256, 65_535, 65_536, 2**32 - 1, 2**32,
+                 10**19 - 1, 10**19]
+        below += [10**k - 1 for k in range(1, 20)] + [10**k for k in range(20)]
+        below += [rng.randrange(top + 1) for _ in range(40)]
+        for values in ([top], [v for v in below if v <= top] + [top], [top, 0, top]):
+            text = "".join(f"{v}\n" for v in values)
+            assert serialize_stream(CipherStream(np.array(values, dtype=np.uint64))) == text
+
+
 def check_parse(text):
     """parse_stream on text, and on its bytes, gives the reference's values and
     salt period, or its FormatError message."""
