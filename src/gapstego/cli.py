@@ -5,9 +5,10 @@ Exit codes are a stable contract: 0 success, 1 self-test failure,
 
 encode, decode and analyze stream: encode reads CHUNK_VALUES // 2
 payload bytes at a time and writes each chunk's text as it goes, and
-decode and analyze read the stream a chunk of whole lines at a time
-(formats.line_chunks).  decode keeps only the decoded bytes and writes
-them once every check has passed, so a failing command writes nothing.
+decode and analyze take the stream a parsed chunk of whole lines at a
+time from formats.read_stream, blank lines included.  decode keeps only
+the decoded bytes and writes them once every check has passed, so a
+failing command writes nothing.
 """
 
 from __future__ import annotations
@@ -38,14 +39,7 @@ from .codec import (
     verify_stream,
 )
 from .errors import GapstegoError, OddLengthError, ValueExceedsPeriodError
-from .formats import (
-    KeyFile,
-    line_chunks,
-    parse_key,
-    parse_stream,
-    serialize_key,
-    serialize_stream,
-)
+from .formats import KeyFile, parse_key, read_stream, serialize_key, serialize_stream
 from .formulas import davison_check, wilf_check
 from .keygen import KeygenParams, MODES, check_viability, choose_salt_pair, generate_key
 from .semigroup import build_table, is_telescopic, minimal_generators
@@ -68,14 +62,6 @@ def _read_pieces(src: BinaryIO, size: int) -> Iterator[bytes]:
         yield piece
 
 
-def _read_stream(src: BinaryIO) -> Iterator[CipherStream]:
-    """The stream in src, a chunk of whole lines at a time."""
-    chunk = None
-    for text in line_chunks(src):
-        chunk = parse_stream(text, after=chunk)
-        yield chunk
-
-
 def _write_bytes(path: str, data: bytes | bytearray) -> None:
     if path == "-":
         sys.stdout.buffer.write(data)
@@ -88,8 +74,13 @@ def _bool_word(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _fresh_seed() -> int:
-    return int.from_bytes(os.urandom(8), "big")
+def _seed(given: int | None) -> int:
+    """The --seed of keygen and encode, in [0, 2**64 - 1], or one drawn from OS entropy."""
+    if given is None:
+        return int.from_bytes(os.urandom(8), "big")
+    if not 0 <= given < 2**64:
+        raise ValueError(f"--seed {given} outside [0, {2**64 - 1}]")
+    return given
 
 
 def _load_key(path: str) -> KeyFile:
@@ -98,7 +89,7 @@ def _load_key(path: str) -> KeyFile:
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args.seed)
     params = KeygenParams(seed=seed, n_elements=args.n_elements, mode=args.mode)
     gens = generate_key(params)
     table = build_table(gens)
@@ -110,7 +101,9 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         f" frobenius={table.frobenius} genus={table.genus}"
         f" symmetric={_bool_word(table.is_symmetric())}"
         f" telescopic={_bool_word(is_telescopic(gens))}"
-        f" seed={seed}"
+        f" seed={seed}",
+        # a key written to stdout is followed by nothing else there
+        file=sys.stderr if args.out == "-" else sys.stdout,
     )
     return 0
 
@@ -150,6 +143,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    seed = _seed(args.seed)
     key = _load_key(args.key)
     with _open_in(args.input) as src:
         # the stream is written while the payload is read
@@ -158,7 +152,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
             raise ValueError(f"--in and --out name the same file, {args.out}")
         table = build_table(key.generators)
         index = build_gap_index(table)
-        seed = args.seed if args.seed is not None else _fresh_seed()
         rng = random.Random(seed)
         # the Generators that encode_message(payload, index, rng) and then
         # salt_stream(stream, spec, rng) would draw from
@@ -193,7 +186,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     bad, positions = 0, []  # values that are not gaps: their count, the first 20 positions
     with _open_in(args.input) as src:
         table = build_table(key.generators) if args.verify else None
-        for chunk in _read_stream(src):
+        for chunk in read_stream(src):
             if chunk.salted:
                 chunk = desalt_stream(chunk)
             if table is not None:
@@ -222,7 +215,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     tally = ResidueTally(args.modulus)
     key = _load_key(args.key) if args.key else None
     with _open_in(args.input) as src:
-        for chunk in _read_stream(src):
+        for chunk in read_stream(src):
             tally.add(chunk.values)
     report = build_report(tally, modulus=args.modulus)
     # built after the stream is read, so the table and the read never overlap

@@ -24,10 +24,10 @@ lines, bad numbers or out-of-range values raise FormatError rather than
 being skipped, and the first bad line in the file is the one named.
 
 A stream is read and written as ASCII bytes, a chunk at a time:
-line_chunks cuts a stream file into CHUNK_BYTES or so of whole lines,
-parse_stream parses such a chunk (or a whole text, chunk by chunk, into
-one preallocated array) and serialize_stream joins the text of
-CHUNK_VALUES values at a time.  A stream is handled one chunk after
+read_stream parses a stream file CHUNK_BYTES or so of whole lines at a
+time, parse_stream parses one such chunk (or a whole text, chunk by
+chunk, into one preallocated array) and serialize_stream joins the text
+of CHUNK_VALUES values at a time.  A stream is handled one chunk after
 another by passing the chunk before as `after`: its text then has no
 header, and a parsed chunk takes the period of the header the stream
 began with.
@@ -56,7 +56,6 @@ _TOKEN = re.compile("[0-9]+")
 _BLANKS = " \t"
 _LINE_BREAKS = "\r\n"
 _LINE_END = "\r\n|\r|\n"
-_SPACE = f"{_BLANKS}{_LINE_BREAKS}".encode()
 _HEADER = re.compile(f"[{_BLANKS}{_LINE_BREAKS}]*salt[^{_LINE_BREAKS}]*".encode())
 # 2**64 - 1 has 20 digits: a longer token is in range only when zero-padded
 _WIDTH = len(str(_U64_MAX))
@@ -80,13 +79,13 @@ def serialize_key(key: KeyFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_uint(text: str, what: str, maximum: int = _U64_MAX) -> int:
+def _parse_uint(text: str, what: str) -> int:
     if not _TOKEN.fullmatch(text):
         raise FormatError(f"{what}: expected a decimal integer, got {text!r}")
     # its decimal form; int reads a few thousand digits at most
     digits = text.lstrip("0") or "0"
-    if len(digits) > len(str(maximum)) or int(digits) > maximum:
-        raise FormatError(f"{what}: {digits} outside [0, {maximum}]")
+    if len(digits) > _WIDTH or int(digits) > _U64_MAX:
+        raise FormatError(f"{what}: {digits} outside [0, {_U64_MAX}]")
     return int(digits)
 
 
@@ -213,39 +212,43 @@ def parse_stream(data: bytes | str, after: CipherStream | None = None) -> Cipher
     start = header.end() if header else 0
     if len(data) - start <= CHUNK_BYTES:
         return CipherStream(_parse_values(memoryview(data)[start:]), salt_period)
-    values = np.empty(_line_bound(np.frombuffer(data, dtype=np.uint8)[start:]), dtype=np.uint64)
+    values = np.empty(_value_bound(np.frombuffer(data, dtype=np.uint8)[start:]), dtype=np.uint64)
     n = 0
     body = io.BytesIO(data)
     body.seek(start)
-    for chunk in line_chunks(body):
+    for chunk in _line_chunks(body):
         parsed = _parse_values(chunk)
         values[n : n + len(parsed)] = parsed
         n += len(parsed)
     return CipherStream(values[:n], salt_period)
 
 
-def line_chunks(file: BinaryIO) -> Iterator[bytes]:
-    """The bytes of a stream file in chunks of whole lines, each at most
-    CHUNK_BYTES long unless one line is longer.
+def read_stream(file: BinaryIO) -> Iterator[CipherStream]:
+    """The stream in a stream file, parsed a chunk of whole lines at a time; until a
+    chunk holds a value or the header, each is parsed as the start of the stream."""
+    before = None
+    for text in _line_chunks(file):
+        chunk = parse_stream(text, after=before)
+        if before is not None or len(chunk) or chunk.salted:
+            before = chunk
+        yield chunk
 
-    The first chunk runs at least through the first line that is not
-    blank, where a header would be.
-    """
+
+def _line_chunks(file: BinaryIO) -> Iterator[bytes]:
+    """A stream file's bytes in chunks of whole lines, at most CHUNK_BYTES unless one line is longer."""
     parts: list[bytes] = []  # what was read after the last chunk
     held = 0  # its length
-    begun = False  # a byte other than a blank or a line break has been read
     while data := file.read(CHUNK_BYTES - held if held < CHUNK_BYTES else CHUNK_BYTES):
         cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
-        if cut and (begun or data[:cut].strip(_SPACE)):
+        if cut:
             chunk = b"".join([*parts, memoryview(data)[:cut]])
             # while the chunk is parsed, hold it and the start of the next only
-            parts, begun, data = [data[cut:]], True, b""
+            parts, data = [data[cut:]], b""
             held = len(parts[0])
             yield chunk
         else:
             parts.append(data)
             held += len(data)
-            begun = begun or bool(data.strip(_SPACE))
     if held:
         yield b"".join(parts)
 
@@ -259,16 +262,14 @@ def _line_text(raw: bytes, what: str) -> str:
         raise FormatError(f"{what}: not UTF-8 text, got '{shown}'") from None
 
 
-def _line_bound(buf: np.ndarray) -> int:
-    """At least the number of lines in buf: one more than its line breaks."""
-    lines = 1
+def _value_bound(buf: np.ndarray) -> int:
+    """At least the number of values in buf: its runs of digits, a run that
+    crosses a seam between chunks counted twice."""
+    runs = 0
     for i in range(0, len(buf), CHUNK_BYTES):
-        chunk = buf[i : i + CHUNK_BYTES]
-        cr = chunk == ord("\r")
-        lines += np.count_nonzero(chunk == ord("\n")) + np.count_nonzero(cr)
-        # \r\n is one line break (counted twice where a chunk ends between the two)
-        lines -= np.count_nonzero(chunk[1:][cr[:-1]] == ord("\n"))
-    return lines
+        digit = buf[i : i + CHUNK_BYTES] - np.uint8(ord("0")) < 10
+        runs += int(digit[0]) + np.count_nonzero(digit[1:] > digit[:-1])
+    return runs
 
 
 def _any_of(buf: np.ndarray, chars: str) -> np.ndarray:

@@ -7,8 +7,12 @@ Run from the repository root:
 It runs `encode` and then `decode --verify` on a random payload of
 256 KiB and of 16 MiB with the README key, each command as a child
 process, checks that the decoded bytes are the payload, and prints the
-peak RSS of each child (os.wait4's ru_maxrss).  It exits 1 unless each
-command's peak on 16 MiB is within 2x of its peak on 256 KiB.
+peak RSS of each child (os.wait4's ru_maxrss).  Then it runs
+`decode --verify` and `analyze` on 64 MiB of blank lines followed by a
+salted stream of 100 values, and checks the decoded bytes again.  It
+exits 1 unless each command's peak on 16 MiB is within 2x of its peak
+on 256 KiB, and each peak on the blank lines is within 2x of the
+256 KiB `decode --verify`.
 
 A child's ru_maxrss counts the memory of the process that started it,
 so this script holds no payload or stream: it writes and compares them
@@ -32,12 +36,14 @@ CLI = ["-m", "gapstego.cli"]
 SIZES = (1 << 18, 1 << 24)
 GROWTH = 2.0
 PIECE = 1 << 20
+# blank lines in front of the header of a stream of 100 values
+BLANK = 1 << 26
 
 
 def peak_mb(args: list) -> float:
     """Run Python with args and src on its path; its peak RSS in MB, or exit 1 when it fails."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.Popen([sys.executable, *map(str, args)], env=env)
+    proc = subprocess.Popen([sys.executable, *map(str, args)], env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     if os.waitstatus_to_exitcode(status):
         sys.exit(f"python {' '.join(map(str, args))} failed")
@@ -79,12 +85,36 @@ def main() -> int:
             if sha256(out) != payload:
                 sys.exit(f"decoded bytes differ from the {size}-byte payload")
             print(f"{size} bytes: {stream.stat().st_size} bytes of stream, round trip exact")
+
+        payload = write_payload(work / "payload.bin", 50)
+        short, stream, out = work / "short.txt", work / "blank.txt", work / "out.bin"
+        peak_mb([*CLI, "encode", "--key", key, "--in", work / "payload.bin", "--out", short,
+                 "--seed", 1, "--salt"])
+        with open(stream, "wb") as dst:
+            for _ in range(0, BLANK, PIECE):
+                dst.write(b"\n" * PIECE)
+            dst.write(short.read_bytes())
+        blank = {
+            "decode --verify": peak_mb(
+                [*CLI, "decode", "--verify", "--key", key, "--in", stream, "--out", out]),
+            "analyze": peak_mb([*CLI, "analyze", "--key", key, "--in", stream]),
+        }
+        if sha256(out) != payload:
+            sys.exit("decoded bytes differ from the payload after the blank lines")
+        print(f"{BLANK} bytes of blank lines before a salted stream: decoded exact")
     ok = True
     for command, (small, large) in peaks.items():
         within = large <= GROWTH * small
         ok &= within
         print(f"{command:16} peak RSS {small:7.1f} MB at {SIZES[0]} B, {large:7.1f} MB at"
               f" {SIZES[1]} B: x{large / small:.2f} {'ok' if within else f'over x{GROWTH}'}")
+    small = peaks["decode --verify"][0]
+    for command, peak in blank.items():
+        within = peak <= GROWTH * small
+        ok &= within
+        print(f"{command:16} peak RSS {peak:7.1f} MB after {BLANK} B of blank lines:"
+              f" x{peak / small:.2f} of decode --verify at {SIZES[0]} B"
+              f" {'ok' if within else f'over x{GROWTH}'}")
     return 0 if ok else 1
 
 

@@ -78,6 +78,27 @@ class TestKeygen:
         assert key.seed == 1
         assert key.mode == "telescopic"
 
+    def test_key_on_stdout_reads_back(self, tmp_path, capsys):
+        out = tmp_path / "a.key"
+        assert main(["keygen", "--seed", "1", "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert main(["keygen", "--seed", "1", "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        # the summary goes to stderr, so stdout holds the key file alone
+        assert captured.out == out.read_text()
+        assert captured.err == summary
+        assert parse_key(captured.out).seed == 1
+
+    @pytest.mark.parametrize("seed", [-5, -1, 2**64])
+    @pytest.mark.parametrize("command", ["keygen", "encode"])
+    def test_seed_outside_u64_refused(self, tmp_path, readme_key, capsys, command, seed):
+        src, out = tmp_path / "p.bin", tmp_path / "out.txt"
+        src.write_bytes(b"hi")
+        args = {"keygen": ["keygen"], "encode": ["encode", "--key", str(readme_key), "--in", str(src)]}
+        assert main([*args[command], "--out", str(out), "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == f"error: --seed {seed} outside [0, {2**64 - 1}]\n"
+        assert not out.exists()
+
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.key", tmp_path / "b.key"
         assert main(["keygen", "--seed", "9", "--out", str(a)]) == 0
@@ -568,6 +589,27 @@ class TestCommandMemory:
         values = 2 * (self.SIZES[1] - self.SIZES[0])
         # half a byte a value, and the slack a growing bytearray keeps
         assert large - small <= 0.6 * values
+
+    def test_blank_lines_before_the_header(self, tmp_path, readme_key):
+        """8 MiB of blank lines, then a salted stream: read 256 KiB at a time."""
+        src, stream, out = tmp_path / "p.bin", tmp_path / "s.txt", tmp_path / "o.bin"
+        src.write_bytes(random.Random(0).randbytes(50))
+        key = ["--key", str(readme_key)]
+        assert main(["encode", *key, "--in", str(src), "--out", str(stream), "--salt"]) == 0
+        stream.write_bytes(b"\n" * (8 << 20) + stream.read_bytes())
+        build_table(validate_generators(README_GENS))
+        for args in (["decode", "--verify", "--out", str(out)], ["analyze"]):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()) as report:
+                    assert main([*args, *key, "--in", str(stream)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a few chunks, where holding the blank lines takes 8 MiB and more
+            assert peak < 3 << 20
+        assert out.read_bytes() == src.read_bytes()
+        assert "n_values 100\n" in report.getvalue()
 
 
 class TestForgery:

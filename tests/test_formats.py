@@ -291,22 +291,21 @@ def check_parse(text):
 
 
 def check_parse_chunks(text):
-    """parse_stream on the chunks of line_chunks, each after the one before,
-    gives the values and salt period of parse_stream on the whole text."""
+    """read_stream gives the values of parse_stream on the whole text, and from
+    the first chunk that holds a value or the header on, its salt period."""
     data = text.encode("utf-8", "surrogatepass")
     try:
         whole = parse_stream(data)
     except FormatError as exc:
         with pytest.raises(FormatError) as got:
-            chunk = None
-            for piece in formats.line_chunks(io.BytesIO(data)):
-                chunk = parse_stream(piece, after=chunk)
+            list(formats.read_stream(io.BytesIO(data)))
         assert str(got.value) == str(exc)
         return
-    chunks = []
-    for piece in formats.line_chunks(io.BytesIO(data)):
-        chunks.append(parse_stream(piece, after=chunks[-1] if chunks else None))
-        assert chunks[-1].salt_period == whole.salt_period
+    chunks = list(formats.read_stream(io.BytesIO(data)))
+    # chunks of blank lines in front of the header carry no period
+    lead = next((k for k, c in enumerate(chunks) if len(c) or c.salted), len(chunks))
+    assert all(c.salt_period is None for c in chunks[:lead])
+    assert all(c.salt_period == whole.salt_period for c in chunks[lead:])
     values = np.concatenate([c.values for c in chunks]) if chunks else np.zeros(0, np.uint64)
     assert np.array_equal(values, whole.values)
 
@@ -364,6 +363,9 @@ class TestStreamChunks:
     @example("\n\n\r\n \n\t salt 7\n1\n", 2)  # blank lines before the header
     @example("\n\n\n\nsalt 7", 1)
     @example("1\n2\nsalt 7\n", 2)  # a header line after the first chunk is a bad value
+    @example("0\n\nsalt 1\n", 1)  # ... also after a chunk of blank lines
+    @example("0\n\nsalt ", 1)
+    @example("\n\n\r\n\nsalt 7\n1\n\n2\n", 1)  # a header after several blank chunks
     @example("1\n\n\n\n\n+5\n", 3)
     @settings(max_examples=300)
     def test_chunk_after_chunk(self, text, chunk):
@@ -386,7 +388,7 @@ class TestStreamChunks:
     def test_line_longer_than_chunk_taken_whole(self):
         text = f"{'0' * 100}7\n8\n9\n".encode()
         with chunks(4):
-            pieces = list(formats.line_chunks(io.BytesIO(text)))
+            pieces = list(formats._line_chunks(io.BytesIO(text)))
             assert pieces[0].startswith(text[:102])
             assert all(p.endswith(b"\n") and len(p) <= 4 for p in pieces[1:])
             assert b"".join(pieces) == text
@@ -465,6 +467,11 @@ class TestStreamMemory:
         data = serialize_stream(stream).encode()
         # the values, 8 bytes each, and a few chunks
         assert self.peak(parse_stream, data) < 8 * len(stream) + self.SCRATCH
+
+    def test_parse_blank_lines(self):
+        data = b"\n" * (16 << 20) + b"1\n2\n"
+        # a value slot per run of digits, none per blank line
+        assert self.peak(parse_stream, data) < self.SCRATCH
 
     def test_serialize(self, stream):
         size = len(serialize_stream(stream))
