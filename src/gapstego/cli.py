@@ -41,7 +41,7 @@ from .codec import (
 from .errors import GapstegoError, OddLengthError, ValueExceedsPeriodError
 from .formats import KeyFile, parse_key, read_stream, serialize_key, serialize_stream
 from .formulas import davison_check, wilf_check
-from .keygen import KeygenParams, MODES, check_viability, choose_salt_pair, generate_key
+from .keygen import KeygenParams, MODES, check_seed, check_viability, choose_salt_pair, generate_key
 from .semigroup import build_table, is_telescopic, minimal_generators
 
 _APERY_PRINT_LIMIT = 64
@@ -76,11 +76,7 @@ def _bool_word(flag: bool) -> str:
 
 def _seed(given: int | None) -> int:
     """The --seed of keygen and encode, in [0, 2**64 - 1], or one drawn from OS entropy."""
-    if given is None:
-        return int.from_bytes(os.urandom(8), "big")
-    if not 0 <= given < 2**64:
-        raise ValueError(f"--seed {given} outside [0, {2**64 - 1}]")
-    return given
+    return int.from_bytes(os.urandom(8), "big") if given is None else check_seed(given, "--seed")
 
 
 def _load_key(path: str) -> KeyFile:

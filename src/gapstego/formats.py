@@ -224,13 +224,14 @@ def parse_stream(data: bytes | str, after: CipherStream | None = None) -> Cipher
 
 
 def read_stream(file: BinaryIO) -> Iterator[CipherStream]:
-    """The stream in a stream file, parsed a chunk of whole lines at a time; until a
-    chunk holds a value or the header, each is parsed as the start of the stream."""
+    """The stream in a stream file, parsed a chunk of whole lines at a time; the blank
+    chunks in front of the first value or the header are parsed but not yielded."""
     before = None
     for text in _line_chunks(file):
         chunk = parse_stream(text, after=before)
-        if before is not None or len(chunk) or chunk.salted:
-            before = chunk
+        if before is None and not (len(chunk) or chunk.salted):
+            continue
+        before = chunk
         yield chunk
 
 

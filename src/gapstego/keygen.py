@@ -38,6 +38,13 @@ RETRY_BUDGET = 10_000
 RATIO_CAP = 8
 
 
+def check_seed(seed: int, what: str = "seed") -> int:
+    """seed, once it is known to lie in [0, 2**64 - 1], the seeds a key file records."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{what} {seed} outside [0, {2**64 - 1}]")
+    return seed
+
+
 @dataclass(frozen=True)
 class KeygenParams:
     """Knobs for generate_key; defaults follow the original prototype ranges."""
@@ -50,8 +57,7 @@ class KeygenParams:
     mode: str = "telescopic"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_seed(self.seed)
         if not 2 <= self.n_elements <= 16:
             raise ValueError(f"n_elements must be in [2, 16], got {self.n_elements}")
         if not 2 <= self.base_min <= self.base_max:

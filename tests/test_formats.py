@@ -291,8 +291,7 @@ def check_parse(text):
 
 
 def check_parse_chunks(text):
-    """read_stream gives the values of parse_stream on the whole text, and from
-    the first chunk that holds a value or the header on, its salt period."""
+    """read_stream gives the values and salt period of parse_stream on the whole text."""
     data = text.encode("utf-8", "surrogatepass")
     try:
         whole = parse_stream(data)
@@ -302,10 +301,7 @@ def check_parse_chunks(text):
         assert str(got.value) == str(exc)
         return
     chunks = list(formats.read_stream(io.BytesIO(data)))
-    # chunks of blank lines in front of the header carry no period
-    lead = next((k for k, c in enumerate(chunks) if len(c) or c.salted), len(chunks))
-    assert all(c.salt_period is None for c in chunks[:lead])
-    assert all(c.salt_period == whole.salt_period for c in chunks[lead:])
+    assert all(c.salt_period == whole.salt_period for c in chunks)
     values = np.concatenate([c.values for c in chunks]) if chunks else np.zeros(0, np.uint64)
     assert np.array_equal(values, whole.values)
 
