@@ -56,7 +56,7 @@ def main() -> None:
 
     print()
     print("but are salted values still gaps?")
-    verdicts = verify_stream(back, table)
+    verdicts = verify_stream(salted, table)  # verify de-salts first
     print(f"  de-salted values: {verdicts.sum()}/{len(verdicts)} gaps (all, as encoded)")
     salted_gaps = [not table.is_member(v) for v in salted.values.tolist()]
     print(f"  salted values   : {sum(salted_gaps)}/{len(salted_gaps)} gaps")

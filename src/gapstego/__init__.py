@@ -41,7 +41,6 @@ from .errors import (
     GcdNotOneError,
     InsufficientSamplesError,
     LimitError,
-    MissingSaltPeriodError,
     NegativeInputError,
     NonPositiveElementError,
     NotCoprimeError,
@@ -110,7 +109,6 @@ __all__ = [
     "KeygenParams",
     "LimitError",
     "MembershipSieve",
-    "MissingSaltPeriodError",
     "NegativeInputError",
     "NonPositiveElementError",
     "NotCoprimeError",

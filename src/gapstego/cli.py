@@ -183,8 +183,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     with _open_in(args.input) as src:
         table = build_table(key.generators) if args.verify else None
         for chunk in read_stream(src):
-            if chunk.salted:
-                chunk = desalt_stream(chunk)
+            chunk = desalt_stream(chunk)
             if table is not None:
                 at = np.flatnonzero(~verify_stream(chunk, table))
                 bad += len(at)
@@ -284,6 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # encode, decode and analyze: stdin can feed the key or the input, not both
+        if getattr(args, "key", None) == "-" == getattr(args, "input", None):
+            raise ValueError("--key - and --in - both read stdin; name a file for one of them")
         return args.handler(args)
     except (GapstegoError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

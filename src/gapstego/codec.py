@@ -13,7 +13,9 @@ salt_stream and verify_stream work CHUNK_VALUES values at a time, so
 their scratch does not grow with the stream, and a stream encoded and
 salted a chunk after another, drawing from one numpy Generator, is the
 one that a single call on the whole payload gives.  verify_stream
-returns a boolean array, True where a value is a gap.
+returns a boolean array, True where a value is a gap.  decode_message
+and verify_stream de-salt first through desalt_stream, which returns an
+unsalted stream as it is.
 
 Optional salting adds k * L to every value for a per-value random
 k in [1, k_max], where L is the lcm of two chosen generators.  Adding a
@@ -38,7 +40,6 @@ import numpy as np
 from .errors import (
     EmptyClassError,
     LimitError,
-    MissingSaltPeriodError,
     NegativeInputError,
     OddLengthError,
     ValueExceedsPeriodError,
@@ -303,13 +304,12 @@ def encode_message(
 
 
 def decode_message(stream: CipherStream) -> bytes:
-    """Decode a stream back to bytes, de-salting first if needed.
+    """Decode a stream back to bytes, de-salted first.
 
-    Residues only, no key needed: value pair (a, b) gives the byte
-    (a % 16) << 4 | (b % 16).
+    Residues only, no key needed: value pair (a, b) of the de-salted
+    stream gives the byte (a % 16) << 4 | (b % 16).
     """
-    if stream.salted:
-        stream = desalt_stream(stream)
+    stream = desalt_stream(stream)
     vals = stream.values
     if len(vals) % 2:
         raise OddLengthError(len(vals))
@@ -322,11 +322,9 @@ def decode_message(stream: CipherStream) -> bytes:
 def verify_stream(stream: CipherStream, table: SemigroupTable) -> np.ndarray:
     """Corruption screen: a boolean array, True where the value is a gap of our semigroup.
 
-    Only meaningful on an unsalted stream; salted input is refused rather
-    than judged wrongly.
+    The stream is de-salted first, so a salted value is judged by its residue mod the period.
     """
-    if stream.salted:
-        raise ValueError("verify runs on de-salted streams; call desalt_stream first")
+    stream = desalt_stream(stream)
     values = stream.values
     gaps = np.empty(len(values), dtype=bool)
     # values run up to 2**64 - 1; every value above F is a member, so clamp
@@ -368,9 +366,10 @@ def salt_stream(
 
 
 def desalt_stream(stream: CipherStream) -> CipherStream:
-    """Undo salting by reducing every value mod the carried period."""
+    """Undo salting by reducing every value mod the carried period; an
+    unsalted stream is returned as it is."""
     if not stream.salted:
-        raise MissingSaltPeriodError("stream carries no salt period")
+        return stream
     return CipherStream(stream.values % np.uint64(stream.salt_period))
 
 

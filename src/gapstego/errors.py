@@ -71,10 +71,6 @@ class OddLengthError(GapstegoError, ValueError):
         self.length = length
 
 
-class MissingSaltPeriodError(GapstegoError, ValueError):
-    """De-salting requires the stream to carry its salt period."""
-
-
 class InsufficientSamplesError(GapstegoError, ValueError):
     """Too few stream values for the requested frequency test."""
 

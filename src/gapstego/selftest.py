@@ -214,9 +214,9 @@ def check_round_trip(key: ViableKey, payload: bytes, rng: random.Random, salt: b
     """Encode, verify, decode; salted too if asked.  Returns the number of values.
 
     Every value is a gap carrying its nibble as its residue mod 16, and
-    the stream decodes to the payload; salted, it still decodes, and
-    desalts to the plain stream.  Draws from rng as encode_message, then
-    salt_stream, do.
+    the stream decodes to the payload; salted, it still decodes and
+    verifies, and desalts to the plain stream.  Draws from rng as
+    encode_message, then salt_stream, do.
     """
     stream = codec.encode_message(payload, key.index, rng)
     if not codec.verify_stream(stream, key.table).all():
@@ -231,6 +231,8 @@ def check_round_trip(key: ViableKey, payload: bytes, rng: random.Random, salt: b
         salted = codec.salt_stream(stream, key.salt, rng)
         if codec.decode_message(salted) != payload:
             raise AssertionError("salted payload corrupted")
+        if not codec.verify_stream(salted, key.table).all():
+            raise AssertionError("salted stream fails verify")
         if not np.array_equal(codec.desalt_stream(salted).values, stream.values):
             raise AssertionError("desalt did not invert salt")
     return len(stream)

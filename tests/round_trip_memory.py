@@ -4,10 +4,11 @@ Run from the repository root:
 
     python tests/round_trip_memory.py
 
-It runs `encode` and then `decode --verify` on a random payload of
-256 KiB and of 16 MiB with the README key, each command as a child
-process, checks that the decoded bytes are the payload, and prints the
-peak RSS of each child (os.wait4's ru_maxrss).  Then it runs
+It runs `encode` and then `decode --verify`, and `encode --salt` and
+then `decode`, on a random payload of 256 KiB and of 16 MiB with the
+README key, each command as a child process, checks that the decoded
+bytes are the payload, and prints the peak RSS of each child
+(os.wait4's ru_maxrss).  Then it runs
 `decode --verify` and `analyze` on 64 MiB of blank lines followed by a
 salted stream of 100 values, and checks the decoded bytes again.  It
 exits 1 unless each command's peak on 16 MiB is within 2x of its peak
@@ -35,6 +36,8 @@ KEY = "frobkey/1\nmode telescopic\nseed 1\nsalt-pair 3 4\n568\n3692\n4084\n4314\
 CLI = ["-m", "gapstego.cli"]
 SIZES = (1 << 18, 1 << 24)
 GROWTH = 2.0
+# (encode, decode) commands of each round trip: plain and verified, salted and plain
+ROUND_TRIPS = ((["encode"], ["decode", "--verify"]), (["encode", "--salt"], ["decode"]))
 PIECE = 1 << 20
 # blank lines in front of the header of a stream of 100 values
 BLANK = 1 << 26
@@ -70,7 +73,7 @@ def sha256(path: Path) -> str:
 
 
 def main() -> int:
-    peaks: dict[str, list[float]] = {"encode": [], "decode --verify": []}
+    peaks = {" ".join(command): [] for pair in ROUND_TRIPS for command in pair}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         key = work / "demo.key"
@@ -78,13 +81,16 @@ def main() -> int:
         for size in SIZES:
             payload = write_payload(work / "payload.bin", size)
             stream, out = work / "stream.txt", work / "out.bin"
-            peaks["encode"].append(peak_mb(
-                [*CLI, "encode", "--key", key, "--in", work / "payload.bin", "--out", stream, "--seed", 1]))
-            peaks["decode --verify"].append(peak_mb(
-                [*CLI, "decode", "--verify", "--key", key, "--in", stream, "--out", out]))
-            if sha256(out) != payload:
-                sys.exit(f"decoded bytes differ from the {size}-byte payload")
-            print(f"{size} bytes: {stream.stat().st_size} bytes of stream, round trip exact")
+            for encode, decode in ROUND_TRIPS:
+                peaks[" ".join(encode)].append(peak_mb(
+                    [*CLI, *encode, "--key", key, "--in", work / "payload.bin", "--out", stream,
+                     "--seed", 1]))
+                peaks[" ".join(decode)].append(peak_mb(
+                    [*CLI, *decode, "--key", key, "--in", stream, "--out", out]))
+                if sha256(out) != payload:
+                    sys.exit(f"{' '.join(decode)}: decoded bytes differ from the {size}-byte payload")
+                print(f"{size} bytes, {' '.join(encode)}: {stream.stat().st_size} bytes of stream,"
+                      " round trip exact")
 
         payload = write_payload(work / "payload.bin", 50)
         short, stream, out = work / "short.txt", work / "blank.txt", work / "out.bin"

@@ -716,6 +716,27 @@ class TestAnalyze:
         assert "'x'" not in captured.err
 
 
+class TestKeyOnStdin:
+    @pytest.mark.parametrize("command", [
+        ["encode", "--seed", "1", "--out", "out"],
+        ["encode", "--seed", "1", "--salt", "--out", "out"],
+        ["decode", "--out", "out"],
+        ["decode", "--verify", "--in", "-", "--out", "out"],
+        ["analyze", "--in", "-"],
+    ], ids=["encode", "encode-salt", "decode", "decode-verify", "analyze"])
+    def test_key_and_input_both_on_stdin_refused(self, tmp_path, readme_key, capsys, command):
+        out = tmp_path / "out"
+        stdin = io.TextIOWrapper(io.BytesIO(readme_key.read_bytes()), encoding="utf-8")
+        with mock.patch.object(sys, "stdin", stdin):
+            code = main([str(out) if a == "out" else a for a in command] + ["--key", "-"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--key - and --in - both read stdin" in captured.err
+        assert stdin.buffer.tell() == 0
+        assert not out.exists()
+
+
 # stream texts: good, malformed and extreme values, with and without a salt header
 fuzz_values = st.one_of(
     st.integers(0, 40),

@@ -17,7 +17,6 @@ from gapstego import (
     CipherStream,
     codec,
     EmptyClassError,
-    MissingSaltPeriodError,
     NegativeInputError,
     OddLengthError,
     SaltSpec,
@@ -308,9 +307,10 @@ class TestVerify:
         assert verify_stream(CipherStream((11,)), table57).tolist() == [True]
         assert verify_stream(CipherStream(()), table57).tolist() == []
 
-    def test_salted_refused(self, table57):
-        with pytest.raises(ValueError):
-            verify_stream(CipherStream((1, 2), salt_period=35), table57)
+    def test_salted_verdicts(self, table57):
+        # mod 35 the values are 1 and 2, gaps of (5, 7), and 0, a member
+        stream = CipherStream((36, 37, 70), salt_period=35)
+        assert verify_stream(stream, table57).tolist() == [True, True, False]
 
     @given(st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 30), max_size=40))
     def test_chunks_agree_with_membership(self, table57, values):
@@ -359,9 +359,24 @@ class TestSalting:
         with pytest.raises(ValueError):
             salt_stream(CipherStream((1,), salt_period=35), spec, random.Random(0))
 
-    def test_desalt_needs_period(self):
-        with pytest.raises(MissingSaltPeriodError):
-            desalt_stream(CipherStream((1, 2)))
+    def test_desalt_passes_unsalted_through(self):
+        stream = CipherStream((1, 2))
+        assert desalt_stream(stream) is stream
+
+    @given(
+        st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 30), max_size=40),
+        st.integers(1, 60) | st.integers(1, 2**64 - 1),
+    )
+    def test_readers_desalt_first(self, table57, values, period):
+        salted = CipherStream(values, salt_period=period)
+        plain = desalt_stream(salted)
+        assert not plain.salted
+        assert np.array_equal(verify_stream(salted, table57), verify_stream(plain, table57))
+        if len(values) % 2:
+            with pytest.raises(OddLengthError):
+                decode_message(salted)
+        else:
+            assert decode_message(salted) == decode_message(plain)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -35,3 +35,12 @@ def test_metric_names_a_public_function_of_its_layer(layer, name):
     assert not name.startswith("_")
     assert inspect.isfunction(fn), f"gapstego.{layer} has no function {name}"
     assert fn.__module__ == f"gapstego.{layer}", f"{name} is defined in {fn.__module__}"
+
+
+@pytest.mark.parametrize("layer", ("cli", *LAYERS))
+def test_every_attribute_names_its_module_as_text(layer):
+    # the tracer reads getattr(attr, "__module__", "") of every attribute of
+    # these modules as a string (re.compile(...).split has __module__ None)
+    module = importlib.import_module(f"gapstego.{layer}")
+    owners = {name: getattr(value, "__module__", "") for name, value in vars(module).items()}
+    assert {name: owner for name, owner in owners.items() if not isinstance(owner, str)} == {}
