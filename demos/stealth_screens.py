@@ -35,7 +35,7 @@ def main() -> None:
     print("screen 1: chi-square on an honest stream of random payload bytes")
     payload = rng.randbytes(1000)
     stream = encode_message(payload, index, rng)
-    honest = build_report(stream, 16)
+    honest = build_report(stream)
     print(f"  {len(stream)} values, statistic {honest.chi_square:.2f},"
           f" reject uniformity: {honest.reject_uniformity}")
 
@@ -43,7 +43,7 @@ def main() -> None:
     print("screen 2: the same test on a stream that reuses one class")
     gaps = table.gaps()
     lazy = [int(gaps[gaps % 16 == 3][0])] * 120
-    clumsy = build_report(lazy, 16)
+    clumsy = build_report(lazy)
     print(f"  {len(lazy)} values, statistic {clumsy.chi_square:.2f},"
           f" reject uniformity: {clumsy.reject_uniformity}")
     print("  a flat statistic needs all 16 residues; repetition lights up instantly")
@@ -57,7 +57,7 @@ def main() -> None:
 
     print()
     print("bundled report (what the analyze command prints with --key):")
-    report = build_report(stream, modulus=16)
+    report = build_report(stream)
     print(f"  n_values {report.n_values}, chi_square {report.chi_square:.4f},"
           f" df {report.df}, reject {report.reject_uniformity}")
     print(f"  class histogram {list(report.class_histogram)}")

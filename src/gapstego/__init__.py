@@ -13,7 +13,6 @@ from .analysis import (
     AnalysisReport,
     ResidueTally,
     build_report,
-    chi2_critical,
     gap_density,
     residue_histogram,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "build_report",
     "build_table",
     "check_viability",
-    "chi2_critical",
     "choose_salt_pair",
     "davison_check",
     "decode_message",

@@ -26,8 +26,6 @@ import numpy as np
 from .analysis import ResidueTally, build_report, gap_density
 from .codec import (
     CHUNK_VALUES,
-    DEFAULT_K_MAX,
-    MODULUS,
     CipherStream,
     SaltSpec,
     build_gap_index,
@@ -155,7 +153,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         spec = None
         if args.salt:
             i, j = key.salt_pair if key.salt_pair is not None else (0, 1)
-            spec = SaltSpec.from_generators(key.generators, i, j, args.k_max)
+            spec = SaltSpec.from_generators(key.generators, i, j)
             # gaps run up to F, and F is one: refuse now, not at the first
             # value drawn at or past the period, when output has been written
             if spec.period <= table.frobenius:
@@ -207,12 +205,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    tally = ResidueTally(args.modulus)
+    tally = ResidueTally()
     key = _load_key(args.key) if args.key else None
     with _open_in(args.input) as src:
         for chunk in read_stream(src):
             tally.add(chunk.values)
-    report = build_report(tally, modulus=args.modulus)
+    report = build_report(tally)
     # built after the stream is read, so the table and the read never overlap
     density = gap_density(build_table(key.generators)) if key else None
     print(f"n_values {report.n_values}")
@@ -257,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="stream path (default stdout)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--salt", action="store_true", help="salt values with the key's salt pair")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.set_defaults(handler=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a gap stream back to bytes")
@@ -270,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the statistical screens on a stream")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--key", default=None, help="optional key; adds its gap_density")
-    p.add_argument("--modulus", type=int, default=MODULUS)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("selftest", help="run the acceptance property checks on small families")

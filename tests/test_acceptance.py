@@ -249,8 +249,8 @@ def test_criterion_09_chi_square_behavior():
     for s in range(100):
         payload = random.Random(s).randbytes(800)
         stream = encode_message(payload, index, random.Random(10_000 + s))
-        passes += not build_report(stream, 16).reject_uniformity
-    one_class = build_report([16 * j + 3 for j in range(80)], 16)
+        passes += not build_report(stream).reject_uniformity
+    one_class = build_report([16 * j + 3 for j in range(80)])
     stat = one_class.chi_square
     ok = passes >= 95 and stat == 1200.0 and one_class.reject_uniformity
     _report(

@@ -20,15 +20,12 @@ from gapstego import (
     build_gap_index,
     build_report,
     build_table,
-    chi2_critical,
     encode_message,
     gap_density,
     residue_histogram,
     validate_generators,
     verify_stream,
 )
-from gapstego.analysis import MAX_MODULUS
-
 
 def small_sets():
     return (
@@ -88,32 +85,27 @@ class TestResidueHistogram:
 
 class TestChiSquare:
     def test_critical_values(self):
-        assert chi2_critical(15) == 24.996
-        assert chi2_critical(1) == 3.841
-        assert chi2_critical(63) == 82.529
-        with pytest.raises(ValueError):
-            chi2_critical(0)
-        with pytest.raises(ValueError):
-            chi2_critical(64)
+        # the upper 5% point at df 15, the one critical value a screen mod 16 needs
+        assert analysis._CHI2_CRIT_05 == 24.996
 
     def test_concentrated_stream_statistic_exact(self):
         # 80 values all in one class: (80-5)^2/5 + 15*(0-5)^2/5 = 1200
-        report = build_report(CipherStream(tuple([3] * 80)), 16)
+        report = build_report(CipherStream(tuple([3] * 80)))
         assert report.chi_square == 1200.0
         assert report.reject_uniformity
 
     def test_perfectly_uniform(self):
         values = tuple(range(16)) * 5
-        report = build_report(CipherStream(values), 16)
+        report = build_report(CipherStream(values))
         assert report.chi_square == 0.0
         assert not report.reject_uniformity
 
     def test_sample_floor(self):
         with pytest.raises(InsufficientSamplesError):
-            build_report(CipherStream(tuple(range(79))), 16)
+            build_report(CipherStream(tuple(range(79))))
 
     def test_accepts_plain_sequences(self):
-        assert build_report(list(range(16)) * 5, 16).chi_square == 0.0
+        assert build_report(list(range(16)) * 5).chi_square == 0.0
 
     def test_negative_value_refused(self):
         with pytest.raises(NegativeInputError):
@@ -121,64 +113,56 @@ class TestChiSquare:
 
     def test_residues_beyond_modulus_fold(self):
         values = tuple(16 + v for v in range(16)) * 5
-        assert build_report(CipherStream(values), 16).chi_square == 0.0
+        assert build_report(CipherStream(values)).chi_square == 0.0
 
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=35, max_size=60), st.integers(2, 7),
-           st.integers(1, 9))
-    def test_tally_chunk_after_chunk(self, values, modulus, step):
-        tally = ResidueTally(modulus)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=80, max_size=120), st.integers(1, 9))
+    def test_tally_chunk_after_chunk(self, values, step):
+        tally = ResidueTally()
         for i in range(0, len(values), step):
             tally.add(CipherStream(values[i : i + step]).values)
-        assert build_report(tally, modulus) == build_report(CipherStream(values), modulus)
+        assert build_report(tally) == build_report(CipherStream(values))
 
-    @pytest.mark.parametrize("modulus", [1, 65, 2**64])
-    def test_tally_refuses_modulus_past_the_table(self, modulus):
-        with pytest.raises(ValueError, match=f"got {modulus}$"):
-            ResidueTally(modulus)
-
-    @pytest.mark.parametrize("modulus", [2, MAX_MODULUS])
-    def test_tally_counts_at_the_table_ends(self, modulus):
+    def test_tally_counts_mod_16(self):
         values = [1, 2, 2**64 - 1]
-        tally = ResidueTally(modulus)
+        tally = ResidueTally()
         tally.add(values)
         assert tally.n_values == 3
-        assert tally.counts.tolist() == [sum(v % modulus == c for v in values)
-                                         for c in range(modulus)]
+        assert tally.counts.tolist() == [sum(v % 16 == c for v in values) for c in range(16)]
 
-    def test_tally_modulus_must_match(self):
-        tally = ResidueTally(16)
-        tally.add(range(160))
-        with pytest.raises(ValueError, match="counted mod 16, not mod 8"):
-            build_report(tally, 8)
+    def test_modulus_checked(self):
+        # the screen counts the encoder's 16 classes; no other modulus is taken
+        with pytest.raises(TypeError):
+            ResidueTally(16)
+        with pytest.raises(TypeError):
+            build_report(list(range(16)) * 5, 16)
 
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=35, max_size=60), st.integers(2, 7))
-    def test_counts_in_chunks(self, values, modulus):
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=80, max_size=120))
+    def test_counts_in_chunks(self, values):
         with mock.patch.object(analysis, "CHUNK_VALUES", 4):
-            report = build_report(CipherStream(values), modulus)
-        assert report.class_histogram == tuple(
-            sum(v % modulus == c for v in values) for c in range(modulus)
-        )
+            report = build_report(CipherStream(values))
+        assert report.class_histogram == tuple(sum(v % 16 == c for v in values) for c in range(16))
 
 
 def _stream_counts(values):
-    residues = CipherStream(values).values % np.uint64(13)
-    return tuple(np.bincount(residues.astype(np.int64), minlength=13).tolist())
+    residues = CipherStream(values).values % np.uint64(16)
+    return tuple(np.bincount(residues.astype(np.int64), minlength=16).tolist())
 
 
 def _tally_counts(values):
-    tally = ResidueTally(13)
+    tally = ResidueTally()
     tally.add(values)
     return tuple(tally.counts.tolist())
 
 
-# each entry point that takes stream values, as the counts mod 13 of what it takes in
+# each entry point that takes stream values, as the counts mod 16 of what it takes in
 STREAM_ENTRY_POINTS = {
     "CipherStream": _stream_counts,
     "ResidueTally.add": _tally_counts,
-    "build_report": lambda values: build_report(values, 13).class_histogram,
+    "build_report": lambda values: build_report(values).class_histogram,
 }
-# 0, 2**63 and 2**64 - 1 fall in three classes mod 13; 66 values pass the sample floor
-EDGE_VALUES = [0, 2**63, 2**64 - 1] * 22
+# each side of 2**63 and both ends of the range, in classes 0, 15, 0 and 15 mod 16;
+# 80 values pass the sample floor
+EDGE_VALUES = [0, 2**63 - 1, 2**63, 2**64 - 1] * 20
 
 
 class TestStreamValueRule:
@@ -191,7 +175,7 @@ class TestStreamValueRule:
         ids=["list", "tuple", "uint64"],
     )
     def test_same_values_accepted(self, entry, values):
-        assert entry(values) == tuple(sum(v % 13 == c for v in EDGE_VALUES) for c in range(13))
+        assert entry(values) == tuple(sum(v % 16 == c for v in EDGE_VALUES) for c in range(16))
 
     @pytest.mark.parametrize("entry", STREAM_ENTRY_POINTS.values(), ids=STREAM_ENTRY_POINTS)
     @pytest.mark.parametrize(
@@ -239,7 +223,7 @@ class TestWindows:
 class TestBuildReport:
     def test_stream_only(self):
         values = tuple(range(16)) * 10
-        report = build_report(CipherStream(values), 16)
+        report = build_report(CipherStream(values))
         assert report.n_values == 160
         assert report.modulus == 16
         assert report.class_histogram == (10,) * 16
@@ -253,12 +237,12 @@ class TestBuildReport:
         index = build_gap_index(table3738)
         stream = encode_message(payload, index, random.Random(3))
         assert verify_stream(stream, table3738).all()
-        report = build_report(stream, 16)
+        report = build_report(stream)
         assert report.class_histogram == (32,) * 16
         assert report.chi_square == 0.0
         again = encode_message(payload, index, random.Random(3))
-        assert build_report(again, 16) == report
+        assert build_report(again) == report
 
     def test_insufficient_samples_bubble_up(self):
         with pytest.raises(InsufficientSamplesError):
-            build_report(CipherStream((1, 2, 3)), 16)
+            build_report(CipherStream((1, 2, 3)))

@@ -133,13 +133,28 @@ class TestKeygen:
         params = KeygenParams(seed=key.seed, mode=key.mode, n_elements=len(key.generators))
         assert generate_key(params) == key.generators
 
-    def test_modulus_option_removed(self, tmp_path, capsys):
-        out = tmp_path / "m.key"
+
+class TestRemovedOptions:
+    """Options that are gone: argparse refuses them before any file is read or written."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["keygen", "--seed", "1", "--modulus", "100000", "--out", "out.txt"], "--modulus"),
+        # inspect reports the encoder's 16 classes, and analyze screens them
+        (["inspect", "--key", "demo.key", "--modulus", "16"], "--modulus"),
+        (["analyze", "--in", "in.txt", "--key", "demo.key", "--modulus", "16"], "--modulus"),
+        # encode --salt draws k in [1, 64]
+        (["encode", "--key", "demo.key", "--in", "in.txt", "--out", "out.txt", "--salt",
+          "--k-max", "64"], "--k-max"),
+    ], ids=["keygen", "inspect", "analyze", "encode"])
+    def test_refused_by_argparse(self, tmp_path, readme_key, capsys, argv, option):
+        (tmp_path / "in.txt").write_text("1\n2\n" * 40)
         with pytest.raises(SystemExit) as exc:
-            main(["keygen", "--seed", "1", "--modulus", "100000", "--out", str(out)])
+            main([str(tmp_path / a) if a.endswith((".key", ".txt")) else a for a in argv])
         assert exc.value.code == 2
-        assert "--modulus" in capsys.readouterr().err
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
+        assert not (tmp_path / "out.txt").exists()
 
 
 class TestInspect:
@@ -187,16 +202,6 @@ class TestInspect:
 
     def test_missing_file(self, tmp_path):
         assert main(["inspect", "--key", str(tmp_path / "nope.key")]) == 2
-
-    def test_bad_modulus_fails_before_output(self, tmp_path, capsys):
-        # inspect reports the encoder's 16 classes and takes no --modulus
-        key = write_key(tmp_path, (5, 7))
-        with pytest.raises(SystemExit) as exc:
-            main(["inspect", "--key", str(key), "--modulus", "16"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--modulus" in captured.err
 
     @pytest.mark.parametrize("modulus", ["65", "1000000", str(2**64)])
     def test_modulus_past_the_table_refused_before_the_table(self, tmp_path, capsys,
@@ -322,35 +327,38 @@ class TestEncodeDecode:
 
 
 class TestSaltBound:
-    # salted values reach (L - 1) + k_max * L, which the stream format
-    # caps at 2**64 - 1
-    PERIOD = math.lcm(4314, 4483)
-    K_MAX = (2**64 - PERIOD) // PERIOD
-
-    def encode(self, tmp_path, key, k_max):
-        src = tmp_path / "p.bin"
-        src.write_bytes(b"gap codes")
-        out = tmp_path / "salted.txt"
+    # salted values reach (L - 1) + 64 * L, which the stream format caps at
+    # 2**64 - 1, so encode --salt refuses a salt pair whose 65 * L passes 2**64
+    def encode(self, tmp_path, gens, payload):
+        key = write_key(tmp_path, gens, salt_pair=(1, 2))
+        src, out = tmp_path / "p.bin", tmp_path / "salted.txt"
+        src.write_bytes(payload)
         args = ["encode", "--key", str(key), "--in", str(src), "--out", str(out)]
-        return main(args + ["--salt", "--k-max", str(k_max), "--seed", "1"]), out
+        return main(args + ["--salt", "--seed", "1"]), key, out
 
-    def test_k_max_at_bound_round_trips(self, tmp_path, readme_key):
-        assert self.PERIOD - 1 + self.K_MAX * self.PERIOD <= 2**64 - 1
-        rc, stream = self.encode(tmp_path, readme_key, self.K_MAX)
+    def test_k_max_at_bound_round_trips(self, tmp_path):
+        period = math.lcm(100000007, 2147483647)
+        assert period == 214748379732385529 and 65 * period < 2**64
+        payload = random.Random(0).randbytes(2000)
+        rc, key, stream = self.encode(tmp_path, (5, 100000007, 2147483647), payload)
         assert rc == 0
-        assert parse_stream(stream.read_text()).salt_period == self.PERIOD
+        text = stream.read_text()
+        assert parse_stream(text).salt_period == period
+        # k = 47..64 push values past 10**19, whose text takes 20 digits
+        assert sum(len(line) == 20 for line in text.splitlines()) == 1100
         out = tmp_path / "o.bin"
-        args = ["decode", "--key", str(readme_key), "--in", str(stream), "--out", str(out)]
+        args = ["decode", "--key", str(key), "--in", str(stream), "--out", str(out)]
         assert main(args + ["--verify"]) == 0
-        assert out.read_bytes() == b"gap codes"
+        assert out.read_bytes() == payload
 
-    def test_k_max_past_bound_refused(self, tmp_path, readme_key, capsys):
-        rc, stream = self.encode(tmp_path, readme_key, self.K_MAX + 1)
+    def test_k_max_past_bound_refused(self, tmp_path, capsys):
+        rc, _, stream = self.encode(tmp_path, (5, 2147483646, 2147483647), b"gap codes")
         assert rc == 2
         assert not stream.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "k_max" in captured.err
+        assert captured.err == (
+            "error: k_max 64 with period 4611686011984936962 passes 2**64 - 1\n")
 
 
 class TestOutOfMemory:
@@ -504,7 +512,7 @@ class TestStreamChunks:
         n = 2 * payload_bytes
         report = capsys.readouterr().out
         assert f"n_values {n}\n" in report
-        histogram = analysis.build_report(parse_stream(stream.read_bytes()), 16).class_histogram
+        histogram = analysis.build_report(parse_stream(stream.read_bytes())).class_histogram
         assert f"class_histogram {','.join(map(str, histogram))}\n" in report
 
     @pytest.mark.parametrize("out", ["file", "-"])
@@ -679,15 +687,6 @@ class TestAnalyze:
         assert "n_values 160" in out
         assert "class_histogram 11,10,10,10,10,10,10,10,10,10,10,10,10,10,10,9" in out
 
-    @pytest.mark.parametrize("modulus", ["0", "-1", "1", "65", str(2**64)])
-    def test_bad_modulus_fails_before_reading(self, tmp_path, capsys, modulus):
-        missing = tmp_path / "never-written.txt"
-        assert main(["analyze", "--in", str(missing), "--modulus", modulus]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "modulus" in captured.err
-        assert f"got {modulus}" in captured.err
-
     def test_short_stream_rejected(self, tmp_path, capsys):
         stream = tmp_path / "s.txt"
         stream.write_text("1\n2\n")
@@ -763,11 +762,7 @@ fuzz_streams = st.tuples(
     ),
     st.sampled_from([b"\n", b"\r\n", b"\r"]),
 ).map(lambda t: t[0] + t[2].join(t[1]))
-fuzz_commands = st.one_of(
-    st.sampled_from([["decode"], ["decode", "--verify"], ["analyze"]]),
-    st.integers(-3, 70).map(lambda m: ["analyze", "--modulus", str(m)]),
-    st.sampled_from([2**64, 10**30]).map(lambda m: ["analyze", "--modulus", str(m)]),
-)
+fuzz_commands = st.sampled_from([["decode"], ["decode", "--verify"], ["analyze"]])
 
 
 class TestStreamReadersFuzz:
@@ -776,8 +771,8 @@ class TestStreamReadersFuzz:
         return write_key(tmp_path_factory.mktemp("fuzz"), README_GENS, seed=1, salt_pair=(3, 4))
 
     @given(data=fuzz_streams, command=fuzz_commands)
-    @example(data=b"\n".join([b"1", b"2"] * 40), command=["analyze", "--modulus", "0"])
-    @example(data=b"\n".join([str(2**64 - 1).encode()] * 80), command=["analyze", "--modulus", "16"])
+    @example(data=b"\n".join([b"1", b"2"] * 40), command=["analyze"])
+    @example(data=b"\n".join([str(2**64 - 1).encode()] * 80), command=["analyze"])
     @example(data=f"1\n{2**63}\n2\n{2**64 - 1}".encode(), command=["decode", "--verify"])
     @example(data=f"salt {2**64 - 1}\n{2**64 - 2}\n3".encode(), command=["decode"])
     @example(data=b"1\r\n2\r\n\x00\r\n\xff", command=["decode"])
@@ -849,11 +844,10 @@ cli_commands = st.one_of(
           _flag("--n-elements"), _flag("--mode", st.sampled_from(["telescopic", "appendix-c", "x"]))),
     st.just(["inspect", "--key", KEY]),
     _argv(st.just(["encode", "--key", KEY]), _flag("--in", fuzz_in), _flag("--out", fuzz_out),
-          _flag("--seed"), st.sampled_from([[], ["--salt"]]), _flag("--k-max")),
+          _flag("--seed"), st.sampled_from([[], ["--salt"]])),
     _argv(st.just(["decode", "--key", KEY]), _flag("--in", fuzz_in), _flag("--out", fuzz_out),
           st.sampled_from([[], ["--verify"]])),
-    _argv(st.just(["analyze", "--in"]), fuzz_in.map(lambda p: [p]), _flag("--key", st.just(KEY)),
-          _flag("--modulus")),
+    _argv(st.just(["analyze", "--in"]), fuzz_in.map(lambda p: [p]), _flag("--key", st.just(KEY))),
 )
 # the last word may be one that argparse refuses
 cli_argvs = _argv(cli_commands, st.sampled_from([[]] * 6 + [["--bogus"], ["--seed"]]))
@@ -891,14 +885,13 @@ class TestCliFuzz:
              key_text=_key_text((10**7 + 1, 10**7 + 2)), data=b"1\n2\n" * 40)
     @example(argv=["encode", "--key", KEY, "--in", "-", "--out", "-"], key_path="-",
              key_text=_key_text((5, 7)), data=b"")
-    @example(argv=["encode", "--key", KEY, "--in", IN, "--out", OUT, "--salt", "--k-max",
-                   str(2**64)], key_path="k.key", key_text=_key_text(README_GENS, "3 4"),
-             data=b"payload")
+    @example(argv=["encode", "--key", KEY, "--in", IN, "--out", OUT, "--salt"], key_path="k.key",
+             key_text=_key_text(README_GENS, "3 4"), data=b"payload")
     @example(argv=["decode", "--key", KEY, "--in", "-", "--out", OUT, "--verify"], key_path="k.key",
              key_text=_key_text((37, 38)), data=b"1\n2\n")
     @example(argv=["decode", "--key", KEY, "--in", IN, "--out", OUT, "--verify"], key_path="k.key",
              key_text=_key_text((37, 38)), data=b"1\n74\n")  # 74 = 2 * 37 is no gap
-    @example(argv=["analyze", "--in", "-", "--key", KEY, "--modulus", "2"], key_path="k.key",
+    @example(argv=["analyze", "--in", "-", "--key", KEY], key_path="k.key",
              key_text=_key_text(README_GENS), data=b"1\n2\n" * 5)
     @settings(max_examples=400)
     def test_exit_codes_and_output(self, workdir, argv, key_path, key_text, data):
