@@ -122,11 +122,14 @@ class TestChiSquare:
             tally.add(CipherStream(values[i : i + step]).values)
         assert build_report(tally) == build_report(CipherStream(values))
 
-    def test_tally_counts_mod_16(self):
-        values = [1, 2, 2**64 - 1]
+    @pytest.mark.parametrize("bits", [2, 64])
+    def test_tally_counts_at_the_table_ends(self, bits):
+        # both ends of a 2-bit and of the 64-bit value range; at 64 bits the
+        # values fill the first and the last of the 16 classes
+        values = [0, 1, 2**bits - 2, 2**bits - 1]
         tally = ResidueTally()
         tally.add(values)
-        assert tally.n_values == 3
+        assert tally.n_values == 4
         assert tally.counts.tolist() == [sum(v % 16 == c for v in values) for c in range(16)]
 
     def test_modulus_checked(self):
