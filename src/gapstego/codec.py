@@ -8,14 +8,14 @@ received values really are gaps screens for corruption, not forgery.
 
 A stream is one read-only uint64 array, and each step on it (encode,
 decode, verify, salt, de-salt) is an array operation.  The same
-functions take a whole stream or one chunk of it.  encode_message,
-salt_stream and verify_stream work CHUNK_VALUES values at a time, so
-their scratch does not grow with the stream, and a stream encoded and
-salted a chunk after another, drawing from one numpy Generator, is the
-one that a single call on the whole payload gives.  verify_stream
-returns a boolean array, True where a value is a gap.  decode_message
-and verify_stream de-salt first through desalt_stream, which returns an
-unsalted stream as it is.
+functions take a whole stream or one chunk of it.  encode_message and
+verify_stream work CHUNK_VALUES values at a time, so their scratch does
+not grow with the stream, and salt_stream draws its multipliers in one
+call.  A stream encoded and salted a chunk after another, drawing from
+one numpy Generator, is the one that a single call on the whole payload
+gives.  verify_stream returns a boolean array, True where a value is a
+gap.  decode_message and verify_stream de-salt first through
+desalt_stream, which returns an unsalted stream as it is.
 
 Optional salting adds k * L to every value for a per-value random
 k in [1, k_max], where L is the lcm of two chosen generators.  Adding a
@@ -341,8 +341,7 @@ def salt_stream(
 ) -> CipherStream:
     """Add k * period to every value, fresh k in [1, k_max] each time.
 
-    The k of each chunk of CHUNK_VALUES values are drawn in one call
-    from generator_from(rng).
+    The k of all the values are drawn in one call from generator_from(rng).
     """
     if stream.salted:
         raise ValueError("stream already carries a salt period")
@@ -354,14 +353,10 @@ def salt_stream(
             f"value {v} >= salt period {spec.period}; salting would be ambiguous"
         )
     gen = generator_from(rng)
-    salted = np.empty(len(stream), dtype=np.uint64)
-    for i in range(0, len(stream), CHUNK_VALUES):
-        chunk = stream.values[i : i + CHUNK_VALUES]
-        out = salted[i : i + CHUNK_VALUES]
-        out[:] = gen.integers(1, spec.k_max, size=len(chunk), dtype=np.uint64, endpoint=True)
-        # SaltSpec keeps (period - 1) + k_max * period within 2**64 - 1
-        out *= period
-        out += chunk
+    salted = gen.integers(1, spec.k_max, size=len(stream), dtype=np.uint64, endpoint=True)
+    # SaltSpec keeps (period - 1) + k_max * period within 2**64 - 1
+    salted *= period
+    salted += stream.values
     return CipherStream(salted, spec.period)
 
 

@@ -25,17 +25,17 @@ being skipped, and the first bad line in the file is the one named.
 
 A stream is read and written as ASCII bytes, a chunk at a time:
 read_stream parses a stream file CHUNK_BYTES or so of whole lines at a
-time, parse_stream parses one such chunk (or a whole text, chunk by
-chunk, into one preallocated array) and serialize_stream joins the text
-of CHUNK_VALUES values at a time.  A stream is handled one chunk after
-another by passing the chunk before as `after`: its text then has no
-header, and a parsed chunk takes the period of the header the stream
-began with.
+time, parse_stream parses one such chunk, or any text it is given, in
+one pass, and serialize_stream joins the text of CHUNK_VALUES values at
+a time.  A large stream is read with read_stream, from a file or from
+io.BytesIO(text), since parse_stream's scratch grows with its text.  A
+stream is handled one chunk after another by passing the chunk before
+as `after`: its text then has no header, and a parsed chunk takes the
+period of the header the stream began with.
 """
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 from typing import AnyStr, BinaryIO, Iterator
@@ -194,8 +194,11 @@ def _format_values(values: np.ndarray) -> np.ndarray:
 def parse_stream(data: bytes | str, after: CipherStream | None = None) -> CipherStream:
     """Parse stream text, given as bytes; a str is encoded as UTF-8 first.
 
-    With `after`, data is the text that follows the chunk `after` of the
-    same stream: it has no header and takes after's salt period.
+    The text is parsed in one pass, with scratch that grows with it;
+    read_stream reads a large stream, from a file or io.BytesIO(text),
+    a chunk at a time.  With `after`, data is the text that follows the
+    chunk `after` of the same stream: it has no header and takes after's
+    salt period.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
@@ -210,17 +213,7 @@ def parse_stream(data: bytes | str, after: CipherStream | None = None) -> Cipher
         if salt_period < 1:
             raise FormatError("salt period must be >= 1")
     start = header.end() if header else 0
-    if len(data) - start <= CHUNK_BYTES:
-        return CipherStream(_parse_values(memoryview(data)[start:]), salt_period)
-    values = np.empty(_value_bound(np.frombuffer(data, dtype=np.uint8)[start:]), dtype=np.uint64)
-    n = 0
-    body = io.BytesIO(data)
-    body.seek(start)
-    for chunk in _line_chunks(body):
-        parsed = _parse_values(chunk)
-        values[n : n + len(parsed)] = parsed
-        n += len(parsed)
-    return CipherStream(values[:n], salt_period)
+    return CipherStream(_parse_values(memoryview(data)[start:]), salt_period)
 
 
 def read_stream(file: BinaryIO) -> Iterator[CipherStream]:
@@ -261,16 +254,6 @@ def _line_text(raw: bytes, what: str) -> str:
     except UnicodeDecodeError:
         shown = raw.decode("utf-8", "backslashreplace")
         raise FormatError(f"{what}: not UTF-8 text, got '{shown}'") from None
-
-
-def _value_bound(buf: np.ndarray) -> int:
-    """At least the number of values in buf: its runs of digits, a run that
-    crosses a seam between chunks counted twice."""
-    runs = 0
-    for i in range(0, len(buf), CHUNK_BYTES):
-        digit = buf[i : i + CHUNK_BYTES] - np.uint8(ord("0")) < 10
-        runs += int(digit[0]) + np.count_nonzero(digit[1:] > digit[:-1])
-    return runs
 
 
 def _any_of(buf: np.ndarray, chars: str) -> np.ndarray:

@@ -459,15 +459,26 @@ class TestStreamMemory:
         finally:
             tracemalloc.stop()
 
-    def test_parse(self, stream):
+    @staticmethod
+    def read(data):
+        return list(formats.read_stream(io.BytesIO(data)))
+
+    def test_read(self, stream):
         data = serialize_stream(stream).encode()
         # the values, 8 bytes each, and a few chunks
-        assert self.peak(parse_stream, data) < 8 * len(stream) + self.SCRATCH
+        assert self.peak(self.read, data) < 8 * len(stream) + self.SCRATCH
 
-    def test_parse_blank_lines(self):
+    def test_read_blank_lines(self):
         data = b"\n" * (16 << 20) + b"1\n2\n"
-        # a value slot per run of digits, none per blank line
-        assert self.peak(parse_stream, data) < self.SCRATCH
+        # a chunk of text at a time, and no value slot per blank line
+        assert self.peak(self.read, data) < self.SCRATCH
+
+    @pytest.mark.parametrize("size", [4 << 20, 8 << 20])
+    def test_read_line_longer_than_a_chunk(self, size):
+        data = b"0" * size + b"16\n1\n"
+        assert [c.values.tolist() for c in self.read(data)] == [[16, 1]]
+        # the joined line, its padded copy to parse and three masks of a byte a byte
+        assert self.peak(self.read, data) < 5 * size + self.SCRATCH
 
     def test_serialize(self, stream):
         size = len(serialize_stream(stream))

@@ -2,11 +2,13 @@
 
 build_table must equal the Dijkstra reference and the brute-force sieve;
 minimal_generators and is_telescopic must equal their definitions, each
-decided by the sieve on the generators themselves.
+decided by the sieve on the generators themselves.  A telescopic key's
+table must also equal what the free-semigroup form of its elements gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from gapstego import (
     semigroup,
     validate_generators,
 )
+from gapstego.keygen import MODES
 
 BIGKEY = (
     160000, 400000, 920000, 1072000, 1140000, 1263000,
@@ -154,3 +157,71 @@ def test_bigkey_matches_dijkstra():
     assert np.array_equal(t.min_rep, dijkstra_min_rep(BIGKEY))
     assert minimal_generators(t.generators).elements == BIGKEY
     assert is_telescopic(t.generators)
+
+
+# A telescopic sequence a_1 < ... < a_k generates a free semigroup: with
+# d_i = gcd(a_1, ..., a_i) and c_i = d_{i-1} / d_i, each integer is
+# sum(lambda_i * a_i) for exactly one choice of 0 <= lambda_i < c_i
+# (i >= 2) and an integer lambda_1, and it is in S when lambda_1 >= 0.
+
+
+def quotients(elems):
+    """The prefix gcds d_1, ..., d_k and the quotients c_2, ..., c_k."""
+    d = list(itertools.accumulate(elems, math.gcd))
+    return d, [before // here for before, here in zip(d, d[1:])]
+
+
+def free_apery(elems):
+    """Every sum(lambda_i * a_i) over 0 <= lambda_i < c_i, i >= 2."""
+    sums = np.zeros(1, dtype=np.int64)
+    for a, c in zip(elems[1:], quotients(elems)[1]):
+        sums = (sums[:, None] + a * np.arange(c, dtype=np.int64)).ravel()
+    return sums
+
+
+def free_frobenius(elems):
+    return sum((c - 1) * a for a, c in zip(elems[1:], quotients(elems)[1])) - elems[0]
+
+
+def peeled_member(elems, x):
+    """x in S, read off lambda_k, ..., lambda_2 in turn and then lambda_1's sign."""
+    d, c = quotients(elems)
+    for i in range(len(elems) - 1, 0, -1):
+        # x is a multiple of d_i: the one lambda_i < c_i leaves a multiple of d_{i-1}
+        x -= x // d[i] * pow(elems[i] // d[i], -1, c[i - 1]) % c[i - 1] * elems[i]
+    return x >= 0
+
+
+keygen_keys = st.tuples(st.integers(0, 2**16), st.sampled_from(MODES)).map(
+    lambda key: generate_key(KeygenParams(seed=key[0], mode=key[1])).elements
+)
+
+
+@given(keygen_keys)
+@example(BIGKEY)
+@example((5, 7))
+@example((37, 38))
+@example((4, 6, 9))
+@settings(max_examples=40)
+def test_telescopic_keys_match_the_free_semigroup(elems):
+    assert telescopic_by_definition(list(elems))
+    t = build_table(validate_generators(elems))
+    m = t.multiplicity
+    sums = free_apery(elems)
+    assert len(sums) == m
+    placed = np.full(m, -1, dtype=np.int64)
+    placed[sums % m] = sums
+    assert np.array_equal(placed, t.min_rep)
+    assert t.frobenius == free_frobenius(elems)
+
+    xs = [*range(min(t.frobenius + 2 * m, 3000) + 1), t.frobenius, t.frobenius + 1]
+    assert [peeled_member(elems, x) for x in xs] == t.members(xs).tolist()
+
+
+def test_free_semigroup_oracle_needs_a_telescopic_key():
+    # 7 is not a sum of 3 and 5, so (3, 5, 7) is not telescopic and the free
+    # form, which gives {0, 5, 10}, misses its Apery element 7
+    assert not telescopic_by_definition([3, 5, 7])
+    assert not is_telescopic(validate_generators((3, 5, 7)))
+    assert sorted(free_apery((3, 5, 7)).tolist()) == [0, 5, 10]
+    assert sorted(build_table(validate_generators((3, 5, 7))).min_rep.tolist()) == [0, 5, 7]
