@@ -10,8 +10,8 @@ Two modes, kept distinct on purpose:
   generate symmetric semigroups, which is what the stream's statistical
   cover story relies on.
 
-Both modes reject any candidate whose gaps leave one of the 16 residue
-classes empty, since such a key cannot carry every nibble value.
+Both modes need base_min > 16: the gaps 1, ..., 16 then fill every
+residue class mod 16, so every key can carry every nibble value.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .semigroup import (
     GeneratingSet,
     SemigroupTable,
     build_table,
-    is_telescopic,
     validate_generators,
 )
 
@@ -60,8 +59,9 @@ class KeygenParams:
         check_seed(self.seed)
         if not 2 <= self.n_elements <= 16:
             raise ValueError(f"n_elements must be in [2, 16], got {self.n_elements}")
-        if not 2 <= self.base_min <= self.base_max:
-            raise ValueError("need 2 <= base_min <= base_max")
+        # m > 16 makes the gaps 1, ..., 16 fill every class mod 16
+        if not MODULUS < self.base_min <= self.base_max:
+            raise ValueError(f"need {MODULUS} < base_min <= base_max")
         if self.spread_max < 1:
             raise ValueError(f"spread_max must be >= 1, got {self.spread_max}")
         if self.mode not in MODES:
@@ -83,39 +83,24 @@ def check_viability(table: SemigroupTable) -> KeyViability:
 
 
 def generate_key(params: KeygenParams) -> GeneratingSet:
-    """Draw candidates until one passes validation plus per-class viability.
+    """Draw candidates until one completes; each completed draw is a key.
 
     Deterministic in params.seed.  Each of the RETRY_BUDGET attempts is one
-    draw; one that dead-ends or leaves a residue class empty uses up its
-    attempt; a key drawn again after it was rejected is not checked again.
-    Raises ViabilityFailure when the budget runs out, which signals ranges
-    too narrow to ever work rather than bad luck.
+    draw, and one that dead-ends uses up its attempt.  A completed draw
+    needs no further check: base_min > 16 makes it viable, and a
+    telescopic draw is telescopic by construction.  Raises
+    ViabilityFailure when the budget runs out, which signals ranges too
+    narrow to ever work rather than bad luck.
     """
     rng = random.Random(params.seed)
     draw = _draw_appendix_c if params.mode == "appendix-c" else _draw_telescopic
-    empty_class = None
-    # each rejected key with its first empty class; a repeat draw costs no table
-    rejected: dict[GeneratingSet, int] = {}
     for _ in range(RETRY_BUDGET):
         candidate = draw(rng, params)
-        if candidate is None:
-            continue
-        gens = validate_generators(candidate)
-        if gens not in rejected:
-            viability = check_viability(build_table(gens))
-            if viability.viable:
-                return gens
-            rejected[gens] = viability.per_class_gap_count.index(0)
-        empty_class = rejected[gens]
-    detail = (
-        f"; residue class {empty_class} mod {MODULUS} kept coming up empty"
-        if empty_class is not None
-        else ""
-    )
+        if candidate is not None:
+            return validate_generators(candidate)
     raise ViabilityFailure(
         f"no viable {params.mode} key in {RETRY_BUDGET} attempts"
         f" (base [{params.base_min}, {params.base_max}], spread {params.spread_max})"
-        + detail
     )
 
 
@@ -143,7 +128,8 @@ def _draw_telescopic(rng: random.Random, params: KeygenParams) -> list[int] | No
     shuffled and cut into n-1 groups whose products step the divisor
     chain d1 > d2 > ... > dn = 1 down to 1.  Each new element is di * si
     with si a member of the prefix semigroup scaled by d(i-1), coprime to
-    the chain step, drawn by rejection inside the magnitude cap.
+    the chain step, drawn by rejection inside the magnitude cap: exactly
+    is_telescopic's condition, so a completed chain needs no re-check.
     """
     n = params.n_elements
     a1 = rng.randint(params.base_min, params.base_max)
@@ -169,8 +155,6 @@ def _draw_telescopic(rng: random.Random, params: KeygenParams) -> list[int] | No
             return None
         seq.append(d_i * s)
         d_prev = d_i
-    if len(set(seq)) != n or not is_telescopic(validate_generators(seq)):
-        return None
     return seq
 
 

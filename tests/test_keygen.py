@@ -44,6 +44,7 @@ class TestParams:
             {"mode": "unknown"},
             {"seed": -1},
             {"seed": 2**64},
+            {"base_min": 16},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -51,6 +52,9 @@ class TestParams:
         base.update(kwargs)
         with pytest.raises(ValueError):
             KeygenParams(**base)
+
+    def test_base_min_17_accepted(self):
+        assert KeygenParams(seed=0, base_min=17).base_min == 17
 
 
 class TestCheckViability:
@@ -97,6 +101,25 @@ class TestCheckViability:
             assert viability.viable
             assert index.class_sizes() == viability.per_class_gap_count
 
+    @given(
+        st.lists(st.integers(17, 300), min_size=2, max_size=4, unique=True)
+        .filter(lambda xs: math.gcd(*xs) == 1)
+        .map(validate_generators)
+    )
+    @example(validate_generators((17, 18)))
+    @settings(max_examples=300)
+    def test_multiplicity_above_16_is_viable(self, gens):
+        # 1, ..., m - 1 are gaps, and for m >= 17 they cover every class mod 16
+        table = build_table(gens)
+        assert check_viability(table).viable
+        assert min(build_gap_index(table).class_sizes()) >= 1
+
+    def test_multiplicity_16_is_not_viable(self):
+        # the bound is tight: every multiple of 16 is in <16, 17>
+        viability = check_viability(build_table(validate_generators((16, 17))))
+        assert viability.per_class_gap_count[0] == 0
+        assert not viability.viable
+
 
 class TestAppendixCMode:
     def test_deterministic(self):
@@ -127,6 +150,13 @@ class TestAppendixCMode:
     def test_n_elements_respected(self):
         key = generate_key(KeygenParams(seed=4, mode="appendix-c", n_elements=7))
         assert len(key.elements) == 7
+
+    def test_appendix_c_draw_builds_no_table(self, monkeypatch):
+        # a completed draw is the key: nothing is built to check it
+        build = mock.Mock(wraps=keygen_mod.build_table)
+        monkeypatch.setattr(keygen_mod, "build_table", build)
+        generate_key(KeygenParams(seed=0, mode="appendix-c"))
+        build.assert_not_called()
 
 
 class TestPairSearch:
@@ -170,6 +200,29 @@ class TestTelescopicMode:
         assert len(key.elements) == 2
         assert is_telescopic(key)
 
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(2, 6),
+        base_min=st.integers(17, 400),
+        width=st.integers(0, 600),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_telescopic_by_construction(self, seed, n, base_min, width):
+        # ranges no pinned key covers; generate_key checks none of this itself
+        params = KeygenParams(
+            seed=seed, n_elements=n, base_min=base_min, base_max=base_min + width
+        )
+        try:
+            key = generate_key(params)
+        except ViabilityFailure:
+            return
+        e = key.elements
+        assert len(e) == n
+        assert all(a < b for a, b in zip(e, e[1:]))
+        assert e[-1] <= keygen_mod.RATIO_CAP * e[0]
+        assert is_telescopic(key)
+        assert build_table(key).is_symmetric()
+
     def test_different_seeds_differ(self):
         a = generate_key(KeygenParams(seed=1))
         b = generate_key(KeygenParams(seed=2))
@@ -206,37 +259,16 @@ class TestPinnedKeys:
 
 
 class TestViabilityFailure:
-    def test_hopeless_ranges_diagnosed(self, monkeypatch):
-        monkeypatch.setattr(keygen_mod, "RETRY_BUDGET", 60)
-        params = KeygenParams(
-            seed=7, n_elements=2, base_min=2, base_max=3, spread_max=1, mode="appendix-c"
-        )
-        with pytest.raises(ViabilityFailure) as exc:
-            generate_key(params)
-        assert "class" in str(exc.value)
-
-    def test_rejected_key_is_not_built_again(self, monkeypatch):
-        # every draw here is (2, 3) or (3, 4), and both leave class 0 empty
-        build = mock.Mock(wraps=keygen_mod.build_table)
-        monkeypatch.setattr(keygen_mod, "build_table", build)
-        params = KeygenParams(
-            seed=7, n_elements=2, base_min=2, base_max=3, spread_max=1, mode="appendix-c"
-        )
-        with pytest.raises(ViabilityFailure) as exc:
-            generate_key(params)
-        assert str(exc.value) == (
-            "no viable appendix-c key in 10000 attempts (base [2, 3], spread 1);"
-            " residue class 0 mod 16 kept coming up empty"
-        )
-        assert sorted(call.args[0].elements for call in build.call_args_list) == [(2, 3), (3, 4)]
-
     def test_budget_counts_single_attempts(self, monkeypatch):
         # a1 <= 1000 never has the ten prime factors that 11 elements need,
         # so each attempt draws and factors one a1
         factor = mock.Mock(wraps=keygen_mod._prime_factors)
         monkeypatch.setattr(keygen_mod, "_prime_factors", factor)
-        with pytest.raises(ViabilityFailure, match=f"in {keygen_mod.RETRY_BUDGET} attempts"):
+        with pytest.raises(ViabilityFailure) as exc:
             generate_key(KeygenParams(seed=0, n_elements=11))
+        assert str(exc.value) == (
+            "no viable telescopic key in 10000 attempts (base [500, 1000], spread 200)"
+        )
         assert factor.call_count == keygen_mod.RETRY_BUDGET
 
     def test_is_runtime_error(self):
