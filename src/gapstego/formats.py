@@ -31,7 +31,9 @@ a time.  A large stream is read with read_stream, from a file or from
 io.BytesIO(text), since parse_stream's scratch grows with its text.  A
 stream is handled one chunk after another by passing the chunk before
 as `after`: its text then has no header, and a parsed chunk takes the
-period of the header the stream began with.
+period of the header the stream began with.  A chunk's byte classes
+give the edges of its words, all words are checked at once, and the
+digits are read a column at a time, counted back from each word's end.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from typing import AnyStr, BinaryIO, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import CHUNK_VALUES, CipherStream
 from .errors import FormatError, GapstegoError
@@ -256,36 +257,30 @@ def _line_text(raw: bytes, what: str) -> str:
         raise FormatError(f"{what}: not UTF-8 text, got '{shown}'") from None
 
 
-def _any_of(buf: np.ndarray, chars: str) -> np.ndarray:
-    hit = np.zeros(len(buf), dtype=bool)
-    for c in chars.encode():
-        hit |= buf == c
-    return hit
-
-
 def _parse_values(body: bytes | memoryview) -> np.ndarray:
     """Every value of some whole lines of a stream body, checked and converted at once."""
-    # the blanks in front let every token end a full window; the final line
-    # break ends the last word inside the buffer
-    raw = b"".join((b" " * _WIDTH, body, b"\n"))
+    # the line breaks in front let every token end a full window of digits, and
+    # leave a chunk without blanks without any; the final one ends the last word
+    raw = b"".join((b"\n" * _WIDTH, body, b"\n"))
     buf = np.frombuffer(raw, dtype=np.uint8)
-    breaks = _any_of(buf, _LINE_BREAKS)
-    gap = _any_of(buf, _BLANKS)
+    breaks = buf == ord("\n")
+    breaks |= buf == ord("\r")
+    gap = buf == ord(" ")
+    gap |= buf == ord("\t")
+    blank = gap.any()
     gap |= breaks
     # words and the gaps between them alternate, from a gap to a gap
     edges = np.flatnonzero(gap[1:] != gap[:-1])
     del gap
     edges += 1
     starts, ends = edges[0::2], edges[1::2]
-    if not len(starts):
-        return np.zeros(0, dtype=np.uint64)
     lengths = ends - starts
-    # a word holds a byte other than a digit, two words share a line (no line
-    # break lies between them), or a token of 20 digits or more passes 2**64 - 1
+    # a word holds a byte other than a digit, two words share a line (only a
+    # blank can part them), or a token of 20 digits or more passes 2**64 - 1
     wide = lengths >= _WIDTH
     if (
         np.count_nonzero(buf - np.uint8(ord("0")) < 10) < lengths.sum()
-        or not np.logical_or.reduceat(breaks, ends)[:-1].all()
+        or (blank and not np.logical_or.reduceat(breaks, ends)[:-1].all())
         or any(
             len(token := raw[i:j].lstrip(b"0")) > _WIDTH or int(token or b"0") > _U64_MAX
             for i, j in zip(starts[wide].tolist(), ends[wide].tolist())
@@ -295,14 +290,18 @@ def _parse_values(body: bytes | memoryview) -> np.ndarray:
         for line in _lines(raw):
             _parse_uint(_line_text(line, "stream value"), "stream value")
         raise AssertionError("a chunk was refused but its every line parses")
+    del breaks
 
-    # the last `width` bytes of each word, read as digits; those in front of
-    # the word count as 0
-    width = min(int(lengths.max()), _WIDTH)
-    digits = sliding_window_view(buf, width)[ends - width]
-    digits -= np.uint8(ord("0"))
-    values = np.zeros(len(starts), dtype=np.uint64)
-    for col, digit in enumerate(digits.T):
-        values *= np.uint64(10)
-        values += digit * (lengths >= width - col)
-    return values
+    # the digits a column at a time, summed in the narrowest type that holds `width` of them
+    width = min(int(lengths.max(initial=0)), _WIDTH)
+    shortest = int(lengths.min(initial=_WIDTH))
+    values = np.zeros(len(starts), dtype=np.min_scalar_type(10 ** min(width, _WIDTH - 1) - 1))
+    at = ends - width
+    for back in range(width, 0, -1):
+        digits = buf[at] - np.uint8(ord("0"))
+        at += 1
+        if back > shortest:  # the bytes in front of a shorter word count as 0
+            digits *= lengths >= back
+        values *= 10
+        values += digits
+    return values.astype(np.uint64, copy=False)

@@ -24,6 +24,7 @@ from .analysis import residue_histogram
 from .codec import MODULUS
 from .errors import ViabilityFailure
 from .semigroup import (
+    MAX_GENERATOR,
     GeneratingSet,
     SemigroupTable,
     build_table,
@@ -106,7 +107,7 @@ def generate_key(params: KeygenParams) -> GeneratingSet:
 
 def _draw_appendix_c(rng: random.Random, params: KeygenParams) -> list[int] | None:
     """A coprime pair padded with c1*first + c2*last sums, or None when the
-    pair is not coprime.
+    pair is not coprime or the padding passes MAX_GENERATOR.
 
     Each sum exceeds the last element, so the padding never repeats one, and
     all of it is redundant by construction: the semigroup is the pair's.
@@ -118,7 +119,7 @@ def _draw_appendix_c(rng: random.Random, params: KeygenParams) -> list[int] | No
     key = [a, b]
     while len(key) < params.n_elements:
         key.append(rng.randint(1, 3) * key[0] + rng.randint(1, 3) * key[-1])
-    return key
+    return key if key[-1] <= MAX_GENERATOR else None
 
 
 def _draw_telescopic(rng: random.Random, params: KeygenParams) -> list[int] | None:

@@ -112,6 +112,15 @@ class TestKeygen:
         assert len(key.generators) == 5
         assert 500 <= key.generators[0] <= 1000
 
+    def test_appendix_c_padding_within_limit(self, tmp_path, capsys):
+        # this seed's first coprime pair pads past 2**31 at 16 elements: it is drawn again
+        out = tmp_path / "c.key"
+        argv = ["--mode", "appendix-c", "--n-elements", "16", "--seed", "860"]
+        assert main(["keygen", *argv, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split()[0].removeprefix("generators=").split(",")
+        assert [int(g) for g in printed] == list(parse_key(out.read_text()).generators)
+        assert len(printed) == 16 and max(map(int, printed)) <= semigroup.MAX_GENERATOR
+
     def test_n_elements_1_is_usage_error(self, tmp_path, capsys):
         rc = main(["keygen", "--n-elements", "1", "--out", str(tmp_path / "x.key")])
         assert rc == 2

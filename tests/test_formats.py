@@ -428,6 +428,39 @@ class TestWideTokens:
             check_parse_chunks(text)
 
 
+# tokens of every length from 1 to 20 digits, the values at the edges of each digit
+# count and of each accumulator type, and those zero-padded, past 20 digits too
+edge_values = [10**k + d for k in range(1, 20) for d in (-1, 0)] + [2**32 - 1, 2**32, 2**64 - 1]
+column_tokens = st.one_of(
+    st.integers(1, 20).flatmap(lambda n: st.integers(10 ** (n - 1) if n > 1 else 0, 10**n - 1)).map(str),
+    st.sampled_from(edge_values).map(str),
+    st.builds(lambda v, pad: "0" * pad + str(v), st.sampled_from(edge_values), st.integers(1, 25)),
+)
+
+
+class TestDigitColumns:
+    """A chunk's digits are read a column at a time, into the narrowest type that
+    holds its widest token, and two words on a line are looked for only in a chunk
+    that holds a blank: each column's mask, each type's edges and both kinds of
+    chunk, refereed by the reference parser."""
+
+    @given(st.lists(column_tokens, min_size=1, max_size=24),
+           st.sampled_from(["\n", "\r\n", "\r"]),
+           # a line with no blank, one with a blank, or two words on a line
+           st.sampled_from(["", " 7\t", "\t \n", "1 2", "1\t2"]),
+           st.integers(0, 24))
+    @example(["1", str(2**32)], "\n", "", 0)
+    @example(["9", str(10**9 - 1), "12"], "\n", "", 1)
+    @example(["5", "10", "7"], "\n", "1 2", 1)
+    @example(["5", "10", "7"], "\r\n", "1\t2", 3)
+    @settings(max_examples=400)
+    def test_parse_matches_reference(self, tokens, end, extra, at):
+        lines = [*tokens]
+        if extra:
+            lines.insert(at % (len(lines) + 1), extra)
+        check_parse("".join(line + end for line in lines))
+
+
 class TestStreamMemory:
     """Peak traced memory of the stream layer on about 256K values.
 

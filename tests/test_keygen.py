@@ -22,6 +22,7 @@ from gapstego import (
     is_telescopic,
     minimal_generators,
     selftest,
+    semigroup,
     validate_generators,
 )
 
@@ -150,6 +151,12 @@ class TestAppendixCMode:
     def test_n_elements_respected(self):
         key = generate_key(KeygenParams(seed=4, mode="appendix-c", n_elements=7))
         assert len(key.elements) == 7
+
+    def test_padding_within_limits(self):
+        # c1*first + c2*last sums grow about 4x an element; a draw past 2**31 is drawn again
+        for seed in range(1000):
+            key = generate_key(KeygenParams(seed=seed, mode="appendix-c", n_elements=16))
+            semigroup.check_limits(key.elements)
 
     def test_appendix_c_draw_builds_no_table(self, monkeypatch):
         # a completed draw is the key: nothing is built to check it
