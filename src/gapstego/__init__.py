@@ -3,8 +3,8 @@
 The sender and receiver share a private generating set.  Payload bytes
 travel as integers that are gaps of the shared semigroup, chosen so the
 residue of each value mod 16 carries one nibble; anyone without the key
-sees a stream of integers whose residues are uniform and whose values sit
-in a set of density one half.
+sees a stream of integers whose values sit in a set of density one half
+and whose residues are uniform only for uniformly random payloads.
 """
 
 from __future__ import annotations

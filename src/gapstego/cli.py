@@ -9,6 +9,11 @@ decode and analyze take the stream a parsed chunk of whole lines at a
 time from formats.read_stream, blank lines included.  decode keeps only
 the decoded bytes and writes them once every check has passed, so a
 failing command writes nothing.
+
+Keys, payloads and streams pass through the binary _open_in and
+_open_out: keys and streams are written as the exact bytes of their
+formats (ASCII, \n line ends, no byte-order mark) whatever the locale,
+PYTHONIOENCODING or platform, and a key is read as UTF-8 bytes.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ import os
 import random
 import sys
 from contextlib import nullcontext
-from pathlib import Path
-from typing import BinaryIO, ContextManager, Iterator, Sequence, TextIO
+from typing import BinaryIO, ContextManager, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +53,8 @@ def _open_in(path: str) -> ContextManager[BinaryIO]:
     return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
-def _open_out(path: str) -> ContextManager[TextIO]:
-    return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+def _open_out(path: str) -> ContextManager[BinaryIO]:
+    return nullcontext(sys.stdout.buffer) if path == "-" else open(path, "wb")
 
 
 def _read_pieces(src: BinaryIO, size: int) -> Iterator[bytes]:
@@ -58,14 +62,6 @@ def _read_pieces(src: BinaryIO, size: int) -> Iterator[bytes]:
     yield src.read(size)
     while piece := src.read(size):
         yield piece
-
-
-def _write_bytes(path: str, data: bytes | bytearray) -> None:
-    if path == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        Path(path).write_bytes(data)
 
 
 def _bool_word(flag: bool) -> str:
@@ -78,8 +74,8 @@ def _seed(given: int | None) -> int:
 
 
 def _load_key(path: str) -> KeyFile:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return parse_key(text)
+    with _open_in(path) as src:
+        return parse_key(src.read().decode("utf-8"))
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
@@ -89,7 +85,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     table = build_table(gens)
     key = KeyFile(gens, args.mode, seed, choose_salt_pair(gens, table))
     with _open_out(args.out) as out:
-        out.write(serialize_key(key))
+        out.write(serialize_key(key).encode())
     print(
         f"generators={','.join(str(g) for g in gens)}"
         f" frobenius={table.frobenius} genus={table.genus}"
@@ -200,7 +196,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         return 3
     if len(carry):
         raise OddLengthError(n)
-    _write_bytes(args.out, decoded)
+    with _open_out(args.out) as out:
+        out.write(decoded)
     return 0
 
 

@@ -1,7 +1,8 @@
 """Key and stream file formats.
 
 Both are line-oriented text so files diff cleanly and can be read or
-written from any language; a key is read as UTF-8, a stream as bytes.
+written from any language; serialize_key and parse_key take a key as
+str, UTF-8 text, and serialize_stream gives a stream as ASCII bytes.
 
 Key file::
 
@@ -26,8 +27,8 @@ being skipped, and the first bad line in the file is the one named.
 A stream is read and written as ASCII bytes, a chunk at a time:
 read_stream parses a stream file CHUNK_BYTES or so of whole lines at a
 time, parse_stream parses one such chunk, or any text it is given, in
-one pass, and serialize_stream joins the text of CHUNK_VALUES values at
-a time.  A large stream is read with read_stream, from a file or from
+one pass, and serialize_stream joins the bytes of CHUNK_VALUES values
+at a time.  A large stream is read with read_stream, from a file or from
 io.BytesIO(text), since parse_stream's scratch grows with its text.  A
 stream is handled one chunk after another by passing the chunk before
 as `after`: its text then has no header, and a parsed chunk takes the
@@ -147,17 +148,17 @@ def parse_key(text: str) -> KeyFile:
     return KeyFile(gens, mode, seed, salt_pair)
 
 
-def serialize_stream(stream: CipherStream, after: CipherStream | None = None) -> str:
-    """Stream text: the salt header, if salted, then one value a line.
+def serialize_stream(stream: CipherStream, after: CipherStream | None = None) -> bytes:
+    """Stream text, as ASCII bytes: the salt header, if salted, then one value a line.
 
     With `after`, the text follows that of the chunk `after` of the same
     stream, so it has no header.
     """
     # join returns a lone part as it is: one chunk with no header is not copied
-    header = [f"salt {stream.salt_period}\n"] if stream.salted and after is None else []
+    header = [b"salt %d\n" % stream.salt_period] if stream.salted and after is None else []
     values = stream.values
     chunks = (values[i : i + CHUNK_VALUES] for i in range(0, len(values), CHUNK_VALUES))
-    return "".join([*header, *(_format_values(c).tobytes().decode("ascii") for c in chunks)])
+    return b"".join([*header, *(_format_values(c).tobytes() for c in chunks)])
 
 
 def _format_values(values: np.ndarray) -> np.ndarray:

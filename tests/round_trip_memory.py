@@ -8,7 +8,10 @@ It runs `encode` and then `decode --verify`, and `encode --salt` and
 then `decode`, on a random payload of 256 KiB and of 16 MiB with the
 README key, each command as a child process, checks that the decoded
 bytes are the payload, and prints the peak RSS of each child
-(os.wait4's ru_maxrss).  Then it runs
+(os.wait4's ru_maxrss).  A third round trip runs `encode` with its
+stdout on the stream file and `decode --verify` with its stdin on it and
+its stdout on the output file, both with PYTHONIOENCODING=utf-16, which
+must not change a byte.  Then it runs
 `decode --verify` and `analyze` on 64 MiB of blank lines followed by a
 salted stream of 100 values, and checks the decoded bytes again.  It
 exits 1 unless each command's peak on 16 MiB is within 2x of its peak
@@ -38,15 +41,19 @@ SIZES = (1 << 18, 1 << 24)
 GROWTH = 2.0
 # (encode, decode) commands of each round trip: plain and verified, salted and plain
 ROUND_TRIPS = ((["encode"], ["decode", "--verify"]), (["encode", "--salt"], ["decode"]))
+# the round trip through stdin and stdout, with UTF-16 asked of the text layer
+STDIO = ("encode >stdout", "decode --verify <stdin")
+UTF16 = {"PYTHONIOENCODING": "utf-16"}
 PIECE = 1 << 20
 # blank lines in front of the header of a stream of 100 values
 BLANK = 1 << 26
 
 
-def peak_mb(args: list) -> float:
-    """Run Python with args and src on its path; its peak RSS in MB, or exit 1 when it fails."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.Popen([sys.executable, *map(str, args)], env=env, stdout=subprocess.DEVNULL)
+def peak_mb(args: list, stdin=None, stdout=subprocess.DEVNULL, env=None) -> float:
+    """Run Python with args and src on its path, stdin and stdout on the given
+    files and env added to its environment; its peak RSS in MB, or exit 1 when it fails."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
+    proc = subprocess.Popen([sys.executable, *map(str, args)], env=env, stdin=stdin, stdout=stdout)
     _, status, usage = os.wait4(proc.pid, 0)
     if os.waitstatus_to_exitcode(status):
         sys.exit(f"python {' '.join(map(str, args))} failed")
@@ -74,6 +81,7 @@ def sha256(path: Path) -> str:
 
 def main() -> int:
     peaks = {" ".join(command): [] for pair in ROUND_TRIPS for command in pair}
+    peaks.update({command: [] for command in STDIO})
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         key = work / "demo.key"
@@ -91,6 +99,17 @@ def main() -> int:
                     sys.exit(f"{' '.join(decode)}: decoded bytes differ from the {size}-byte payload")
                 print(f"{size} bytes, {' '.join(encode)}: {stream.stat().st_size} bytes of stream,"
                       " round trip exact")
+            with open(stream, "wb") as dst:
+                peaks[STDIO[0]].append(peak_mb(
+                    [*CLI, "encode", "--key", key, "--in", work / "payload.bin", "--seed", 1],
+                    stdout=dst, env=UTF16))
+            with open(stream, "rb") as src, open(out, "wb") as dst:
+                peaks[STDIO[1]].append(peak_mb(
+                    [*CLI, "decode", "--verify", "--key", key], stdin=src, stdout=dst, env=UTF16))
+            if sha256(out) != payload:
+                sys.exit(f"{STDIO[1]}: decoded bytes differ from the {size}-byte payload")
+            print(f"{size} bytes, {' / '.join(STDIO)} with UTF-16 text streams:"
+                  f" {stream.stat().st_size} bytes of stream, round trip exact")
 
         payload = write_payload(work / "payload.bin", 50)
         short, stream, out = work / "short.txt", work / "blank.txt", work / "out.bin"
@@ -112,13 +131,13 @@ def main() -> int:
     for command, (small, large) in peaks.items():
         within = large <= GROWTH * small
         ok &= within
-        print(f"{command:16} peak RSS {small:7.1f} MB at {SIZES[0]} B, {large:7.1f} MB at"
+        print(f"{command:22} peak RSS {small:7.1f} MB at {SIZES[0]} B, {large:7.1f} MB at"
               f" {SIZES[1]} B: x{large / small:.2f} {'ok' if within else f'over x{GROWTH}'}")
     small = peaks["decode --verify"][0]
     for command, peak in blank.items():
         within = peak <= GROWTH * small
         ok &= within
-        print(f"{command:16} peak RSS {peak:7.1f} MB after {BLANK} B of blank lines:"
+        print(f"{command:22} peak RSS {peak:7.1f} MB after {BLANK} B of blank lines:"
               f" x{peak / small:.2f} of decode --verify at {SIZES[0]} B"
               f" {'ok' if within else f'over x{GROWTH}'}")
     return 0 if ok else 1

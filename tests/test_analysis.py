@@ -249,3 +249,62 @@ class TestBuildReport:
     def test_insufficient_samples_bubble_up(self):
         with pytest.raises(InsufficientSamplesError):
             build_report(CipherStream((1, 2, 3)))
+
+
+# the abstract of the source paper, as PAPER.md gives it: 767 bytes of English text
+ABSTRACT = (
+    b"We introduce a steganographic information hiding scheme based on structural properties"
+    b" of numerical semigroups arising from the Frobenius coin problem. Instead of encoding "
+    b"data through representable integers, the proposed protocol embeds information into the"
+    b" gap structure of carefully chosen symmetric numerical semigroups. Symmetry guarantees"
+    b" a balanced gap density, ensuring that encoded values are statistically "
+    b"indistinguishable from uniform numerical noise to an observer lacking the private "
+    b"generating set. The security of the scheme relies on the assumed average-case hardness"
+    b" of numerical semigroup membership inference for hidden generators, offering a novel "
+    b"number-theoretic primitive for covert communication and post-quantum resilient "
+    b"information hiding."
+)
+
+# keys that carry every nibble: the README's, and that of keygen --mode appendix-c --seed 21
+SCREEN_KEYS = {
+    "readme": (568, 3692, 4084, 4314, 4483),
+    "appendix-c-21": (853, 961, 4481, 6187, 20267),
+}
+
+
+def nibble_counts(payload):
+    data = np.frombuffer(payload, dtype=np.uint8)
+    return tuple(np.bincount(np.concatenate((data >> 4, data & 0xF)), minlength=16).tolist())
+
+
+class TestResidueScreenReadsThePayload:
+    """A value's residue mod 16 is its nibble, so the screen's histogram is the
+    payload's nibble histogram, whatever the key or the seed: it passes only
+    payloads whose nibbles are near uniform."""
+
+    @given(
+        # every element above 16: the gaps 1, ..., 16 fill every class mod 16
+        st.lists(st.integers(17, 90), min_size=2, max_size=4).filter(lambda xs: math.gcd(*xs) == 1),
+        st.binary(min_size=40, max_size=200),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60)
+    def test_histogram_is_the_payload_nibbles(self, gens, payload, seed):
+        index = build_gap_index(build_table(validate_generators(gens)))
+        report = build_report(encode_message(payload, index, random.Random(seed)))
+        assert report.class_histogram == nibble_counts(payload)
+
+    @pytest.mark.parametrize("key", SCREEN_KEYS)
+    @pytest.mark.parametrize("size,chi_square", [
+        (40, 131.2),  # 80 values, the fewest the screen takes
+        (64, 215.25),
+        (256, 727.375),
+        (767, 2187.6584),
+    ])
+    def test_english_text_is_rejected(self, key, size, chi_square):
+        assert len(ABSTRACT) == 767
+        index = build_gap_index(build_table(validate_generators(SCREEN_KEYS[key])))
+        report = build_report(encode_message(ABSTRACT[:size], index, random.Random(7)))
+        assert report.class_histogram == nibble_counts(ABSTRACT[:size])
+        assert round(report.chi_square, 4) == chi_square
+        assert report.reject_uniformity  # against the critical value 24.996

@@ -494,7 +494,7 @@ class TestStreamChunks:
         return stream
 
     def expected(self, payload, salt):
-        """The stream text of the library's whole-array calls at the same seed."""
+        """The stream bytes of the library's whole-array calls at the same seed."""
         rng = random.Random(3)
         stream = encode_message(payload, build_gap_index(build_table(validate_generators(README_GENS))), rng)
         if salt:
@@ -512,7 +512,7 @@ class TestStreamChunks:
         payload = random.Random(payload_bytes).randbytes(payload_bytes)
         with chunk_sizes(*sizes) if sizes else contextlib.nullcontext():
             stream = self.encode(tmp_path, readme_key, payload, salt)
-            assert stream.read_text() == self.expected(payload, salt)
+            assert stream.read_bytes() == self.expected(payload, salt)
             out = tmp_path / "o.bin"
             args = ["--key", str(readme_key), "--in", str(stream)]
             assert main(["decode", *args, "--out", str(out), "--verify"]) == 0
@@ -743,6 +743,55 @@ class TestKeyOnStdin:
         assert "--key - and --in - both read stdin" in captured.err
         assert stdin.buffer.tell() == 0
         assert not out.exists()
+
+
+class TestBinaryStdio:
+    """Keys and streams on stdin and stdout are the bytes of their files, whatever
+    text encoding Python is told to give its standard streams."""
+
+    @staticmethod
+    def run(*args, stdin=b""):
+        env = dict(os.environ, PYTHONIOENCODING="utf-16",
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        return subprocess.run([sys.executable, "-m", "gapstego.cli", *map(str, args)], env=env,
+                              input=stdin, capture_output=True, timeout=60)
+
+    def test_keygen_to_stdout_is_key_file(self, tmp_path):
+        key = tmp_path / "k.key"
+        assert self.run("keygen", "--seed", "1", "--out", key).returncode == 0
+        done = self.run("keygen", "--seed", "1", "--out", "-")
+        assert done.returncode == 0
+        assert done.stdout == key.read_bytes()
+        assert parse_key(done.stdout.decode()).generators.elements == README_GENS
+
+    @pytest.mark.parametrize("salt", [[], ["--salt"]], ids=["plain", "salt"])
+    def test_encode_to_stdout_is_stream_file(self, tmp_path, readme_key, salt):
+        src, stream = tmp_path / "p.bin", tmp_path / "s.txt"
+        src.write_bytes(random.Random(5).randbytes(300))
+        args = ["encode", "--key", readme_key, "--in", src, "--seed", "5", *salt]
+        assert self.run(*args, "--out", stream).returncode == 0
+        done = self.run(*args, "--out", "-")
+        assert done.returncode == 0
+        assert done.stdout == stream.read_bytes()
+        decoded = self.run("decode", "--key", readme_key, "--verify", stdin=done.stdout)
+        assert (decoded.returncode, decoded.stdout) == (0, src.read_bytes())
+
+    @pytest.mark.parametrize("command", [["inspect"], ["decode", "--in", "s.txt", "--verify"]],
+                             ids=["inspect", "decode"])
+    def test_key_from_stdin_is_key_file(self, tmp_path, readme_key, command):
+        src, stream = tmp_path / "p.bin", tmp_path / "s.txt"
+        src.write_bytes(b"hidden")
+        assert main(["encode", "--key", str(readme_key), "--in", str(src), "--out", str(stream)]) == 0
+        argv = [stream if a == "s.txt" else a for a in command]
+        from_file = self.run(*argv, "--key", readme_key)
+        from_stdin = self.run(*argv, "--key", "-", stdin=readme_key.read_bytes())
+        assert from_file.returncode == 0
+        if command == ["inspect"]:  # a report is text, in the encoding Python is given
+            assert from_file.stdout.decode("utf-16").startswith("generators 568,3692,")
+        else:
+            assert from_file.stdout == b"hidden"
+        assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (
+            from_file.returncode, from_file.stdout, from_file.stderr)
 
 
 # stream texts: good, malformed and extreme values, with and without a salt header

@@ -130,17 +130,17 @@ class TestKeyFormat:
 class TestStreamFormat:
     def test_unsalted(self):
         text = serialize_stream(CipherStream((23, 1, 16)))
-        assert text == "23\n1\n16\n"
+        assert text == b"23\n1\n16\n"
         assert parse_stream(text) == CipherStream((23, 1, 16))
 
     def test_salted(self):
         stream = CipherStream((36, 71), salt_period=35)
         text = serialize_stream(stream)
-        assert text == "salt 35\n36\n71\n"
+        assert text == b"salt 35\n36\n71\n"
         assert parse_stream(text) == stream
 
     def test_empty(self):
-        assert serialize_stream(CipherStream(())) == ""
+        assert serialize_stream(CipherStream(())) == b""
         assert parse_stream("") == CipherStream(())
 
     def test_round_trip_byte_identical(self):
@@ -268,7 +268,7 @@ class TestFormatBoundaries:
         below += [10**k - 1 for k in range(1, 20)] + [10**k for k in range(20)]
         below += [rng.randrange(top + 1) for _ in range(40)]
         for values in ([top], [v for v in below if v <= top] + [top], [top, 0, top]):
-            text = "".join(f"{v}\n" for v in values)
+            text = "".join(f"{v}\n" for v in values).encode()
             assert serialize_stream(CipherStream(np.array(values, dtype=np.uint64))) == text
 
 
@@ -307,11 +307,11 @@ def check_parse_chunks(text):
 
 
 def check_serialize(values, period):
-    """serialize_stream writes str() of each value a line, after the header."""
+    """serialize_stream writes the ASCII of str() of each value a line, after the header."""
     stream = CipherStream(values, period)
     lines = ([f"salt {period}"] if period else []) + list(map(str, stream.values.tolist()))
     expected = "\n".join(lines) + "\n" if lines else ""
-    assert serialize_stream(stream) == expected
+    assert serialize_stream(stream) == expected.encode()
     assert parse_stream(expected) == stream
 
 
@@ -377,7 +377,7 @@ class TestStreamChunks:
         stream = CipherStream(values, period)
         pieces = [CipherStream(stream.values[i : i + step], period)
                   for i in range(0, max(len(values), 1), step)]
-        text = "".join(serialize_stream(c, after=pieces[k - 1] if k else None)
+        text = b"".join(serialize_stream(c, after=pieces[k - 1] if k else None)
                        for k, c in enumerate(pieces))
         assert text == serialize_stream(stream)
 
@@ -497,7 +497,7 @@ class TestStreamMemory:
         return list(formats.read_stream(io.BytesIO(data)))
 
     def test_read(self, stream):
-        data = serialize_stream(stream).encode()
+        data = serialize_stream(stream)
         # the values, 8 bytes each, and a few chunks
         assert self.peak(self.read, data) < 8 * len(stream) + self.SCRATCH
 
@@ -515,7 +515,7 @@ class TestStreamMemory:
 
     def test_serialize(self, stream):
         size = len(serialize_stream(stream))
-        # the returned text and the byte buffer it is decoded from
+        # the returned bytes and the buffer they are copied from
         assert self.peak(serialize_stream, stream) < 2 * size + self.SCRATCH
 
     def test_verify(self, stream, table):

@@ -34,6 +34,8 @@ BIGKEY = (
     160000, 400000, 920000, 1072000, 1140000, 1263000,
     1271200, 1271640, 1278984, 1279492, 1279746, 1279873,
 )
+# generate_key(KeygenParams(seed=1, base_min=5 * 10**5, base_max=10**6)): m = 915,795
+LARGE_BASE_KEY = (915795, 2564226, 4640028, 5919462, 6969925)
 
 
 def _generated(elems, x):
@@ -199,6 +201,7 @@ keygen_keys = st.tuples(st.integers(0, 2**16), st.sampled_from(MODES)).map(
 
 @given(keygen_keys)
 @example(BIGKEY)
+@example(LARGE_BASE_KEY)
 @example((5, 7))
 @example((37, 38))
 @example((4, 6, 9))
@@ -214,7 +217,10 @@ def test_telescopic_keys_match_the_free_semigroup(elems):
     assert np.array_equal(placed, t.min_rep)
     assert t.frobenius == free_frobenius(elems)
 
-    xs = [*range(min(t.frobenius + 2 * m, 3000) + 1), t.frobenius, t.frobenius + 1]
+    # every x up to 3000, and 3000 drawn from all of [0, F + 2m)
+    end = t.frobenius + 2 * m
+    drawn = np.random.default_rng(m).integers(end, size=3000).tolist()
+    xs = [*range(min(end, 3000) + 1), *drawn, t.frobenius, t.frobenius + 1]
     assert [peeled_member(elems, x) for x in xs] == t.members(xs).tolist()
 
 
