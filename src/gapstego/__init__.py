@@ -34,7 +34,6 @@ from .errors import (
     ElementOneError,
     EmptyClassError,
     EmptySetError,
-    EvenFrobeniusError,
     FormatError,
     GapstegoError,
     GcdNotOneError,
@@ -64,7 +63,6 @@ from .formulas import (
     progression_frobenius,
     sigma,
     sylvester,
-    symmetric_genus,
     wilf_check,
 )
 from .keygen import (
@@ -95,7 +93,6 @@ __all__ = [
     "ElementOneError",
     "EmptyClassError",
     "EmptySetError",
-    "EvenFrobeniusError",
     "FormatError",
     "GapIndex",
     "GapstegoError",
@@ -145,7 +142,6 @@ __all__ = [
     "serialize_stream",
     "sigma",
     "sylvester",
-    "symmetric_genus",
     "validate_generators",
     "verify_stream",
     "wilf_check",

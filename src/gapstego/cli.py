@@ -13,7 +13,8 @@ failing command writes nothing.
 Keys, payloads and streams pass through the binary _open_in and
 _open_out: keys and streams are written as the exact bytes of their
 formats (ASCII, \n line ends, no byte-order mark) whatever the locale,
-PYTHONIOENCODING or platform, and a key is read as UTF-8 bytes.
+PYTHONIOENCODING or platform, and a key is handed to parse_key as the
+bytes it was read as.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _seed(given: int | None) -> int:
 
 def _load_key(path: str) -> KeyFile:
     with _open_in(path) as src:
-        return parse_key(src.read().decode("utf-8"))
+        return parse_key(src.read())
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
@@ -85,7 +86,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     table = build_table(gens)
     key = KeyFile(gens, args.mode, seed, choose_salt_pair(gens, table))
     with _open_out(args.out) as out:
-        out.write(serialize_key(key).encode())
+        out.write(serialize_key(key))
     print(
         f"generators={','.join(str(g) for g in gens)}"
         f" frobenius={table.frobenius} genus={table.genus}"

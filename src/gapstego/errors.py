@@ -43,10 +43,6 @@ class DegenerateProgressionError(GapstegoError, ValueError):
     """Progression has more steps than the closed form supports (w > a - 1)."""
 
 
-class EvenFrobeniusError(GapstegoError, ValueError):
-    """A symmetric semigroup must have an odd Frobenius number."""
-
-
 class ViabilityFailure(GapstegoError, RuntimeError):
     """Key generation ran out of attempts before finding a usable key."""
 

@@ -1,8 +1,8 @@
 """Key and stream file formats.
 
 Both are line-oriented text so files diff cleanly and can be read or
-written from any language; serialize_key and parse_key take a key as
-str, UTF-8 text, and serialize_stream gives a stream as ASCII bytes.
+written from any language.  Both are parsed from bytes and serialized to
+ASCII bytes; a line that is not UTF-8 text is refused by name.
 
 Key file::
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import AnyStr, BinaryIO, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -57,7 +57,6 @@ _U64_MAX = 2**64 - 1
 _TOKEN = re.compile("[0-9]+")
 _BLANKS = " \t"
 _LINE_BREAKS = "\r\n"
-_LINE_END = "\r\n|\r|\n"
 _HEADER = re.compile(f"[{_BLANKS}{_LINE_BREAKS}]*salt[^{_LINE_BREAKS}]*".encode())
 # 2**64 - 1 has 20 digits: a longer token is in range only when zero-padded
 _WIDTH = len(str(_U64_MAX))
@@ -73,12 +72,12 @@ class KeyFile:
     salt_pair: tuple[int, int] | None = None
 
 
-def serialize_key(key: KeyFile) -> str:
+def serialize_key(key: KeyFile) -> bytes:
     lines = [KEY_MAGIC, f"mode {key.mode}", f"seed {key.seed}"]
     if key.salt_pair is not None:
         lines.append(f"salt-pair {key.salt_pair[0]} {key.salt_pair[1]}")
     lines.extend(str(g) for g in key.generators)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _parse_uint(text: str, what: str) -> int:
@@ -91,10 +90,9 @@ def _parse_uint(text: str, what: str) -> int:
     return int(digits)
 
 
-def _lines(text: AnyStr) -> list[AnyStr]:
+def _lines(data: bytes) -> list[bytes]:
     """The lines of a key or stream that are not blank, without the blanks around them."""
-    cast = str if isinstance(text, str) else str.encode  # a str constant as text's type
-    lines = (line.strip(cast(_BLANKS)) for line in re.split(cast(_LINE_END), text))
+    lines = (line.strip(_BLANKS.encode()) for line in data.splitlines())
     return [line for line in lines if line]
 
 
@@ -103,8 +101,8 @@ def _fields(line: str) -> list[str]:
     return re.split(f"[{_BLANKS}]+", line)
 
 
-def parse_key(text: str) -> KeyFile:
-    lines = _lines(text)
+def parse_key(data: bytes) -> KeyFile:
+    lines = [_line_text(line, "key file") for line in _lines(data)]
     if not lines or lines[0] != KEY_MAGIC:
         raise FormatError(f"key file must start with {KEY_MAGIC!r}")
     if len(lines) < 3:
@@ -193,8 +191,8 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     return buf[width:]
 
 
-def parse_stream(data: bytes | str, after: CipherStream | None = None) -> CipherStream:
-    """Parse stream text, given as bytes; a str is encoded as UTF-8 first.
+def parse_stream(data: bytes, after: CipherStream | None = None) -> CipherStream:
+    """Parse stream text, given as bytes.
 
     The text is parsed in one pass, with scratch that grows with it;
     read_stream reads a large stream, from a file or io.BytesIO(text),
@@ -202,8 +200,6 @@ def parse_stream(data: bytes | str, after: CipherStream | None = None) -> Cipher
     chunk `after` of the same stream: it has no header and takes after's
     salt period.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogatepass")
     salt_period = after.salt_period if after is not None else None
     header = _HEADER.match(data) if after is None else None
     if header:
@@ -250,7 +246,7 @@ def _line_chunks(file: BinaryIO) -> Iterator[bytes]:
 
 
 def _line_text(raw: bytes, what: str) -> str:
-    """One line of a stream as text; FormatError naming it when it is not UTF-8."""
+    """One line of a key or stream as text; FormatError naming it when it is not UTF-8."""
     try:
         return raw.decode("utf-8", "surrogatepass")
     except UnicodeDecodeError:

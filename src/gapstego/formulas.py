@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import (
     DegenerateProgressionError,
-    EvenFrobeniusError,
     NegativeInputError,
     NotCoprimeError,
 )
@@ -121,17 +120,6 @@ def geometric_frobenius(spec: GeometricSpec) -> int:
     high = sigma(a, b, k + 1)
     result = high - sigma(a, b, k) - a ** (k + 1) - b ** (k + 1)
     return result
-
-
-def symmetric_genus(frobenius: int) -> int:
-    """Genus (F + 1) / 2 of a symmetric semigroup with Frobenius number F."""
-    if frobenius < 1:
-        raise ValueError(f"frobenius must be >= 1, got {frobenius}")
-    if frobenius % 2 == 0:
-        raise EvenFrobeniusError(
-            f"frobenius {frobenius} is even, so the semigroup cannot be symmetric"
-        )
-    return (frobenius + 1) // 2
 
 
 @dataclass(frozen=True)

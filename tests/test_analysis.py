@@ -14,6 +14,7 @@ from gapstego import (
     CipherStream,
     analysis,
     InsufficientSamplesError,
+    KeygenParams,
     LimitError,
     NegativeInputError,
     ResidueTally,
@@ -22,6 +23,7 @@ from gapstego import (
     build_table,
     encode_message,
     gap_density,
+    generate_key,
     residue_histogram,
     validate_generators,
     verify_stream,
@@ -308,3 +310,50 @@ class TestResidueScreenReadsThePayload:
         assert report.class_histogram == nibble_counts(ABSTRACT[:size])
         assert round(report.chi_square, 4) == chi_square
         assert report.reject_uniformity  # against the critical value 24.996
+
+
+def emission_divergence(table):
+    """KL(P || U[0, F]) in bits, where P is the encoder's law on a random payload:
+    gap x of class v is sent with probability 1 / (16 * G[v]), G = residue_histogram."""
+    histogram = residue_histogram(table)
+    return math.log2(table.frobenius + 1) - 4 - float(np.log2(histogram).mean())
+
+
+def emission_divergence_by_gap(table):
+    """The same divergence summed over every gap, in O(genus)."""
+    p = 1 / (16 * residue_histogram(table)[table.gaps() % 16])
+    assert p.sum() == pytest.approx(1)
+    return float((p * np.log2(p * (table.frobenius + 1))).sum())
+
+
+class TestEmissionLaw:
+    """To a warden who expects values uniform on [0, F], each value leaks
+    KL(P || U[0, F]) bits (Cachin 1998).  No law on the gaps leaks less than
+    the uniform one, log2((F + 1) / genus): 1 bit on a symmetric key.  The
+    encoder's excess over that floor is log2 of the mean class size less the
+    mean of its log2, so it is small when the 16 classes are near equal."""
+
+    @given(st.lists(st.integers(17, 90), min_size=2, max_size=4).filter(lambda xs: math.gcd(*xs) == 1))
+    @settings(max_examples=60)
+    def test_closed_form_on_small_keys(self, gens):
+        table = build_table(validate_generators(gens))
+        divergence = emission_divergence(table)
+        assert divergence == pytest.approx(emission_divergence_by_gap(table), abs=1e-9)
+        assert divergence >= math.log2((table.frobenius + 1) / table.genus) - 1e-12
+
+    # seed 1 gives the README key
+    @pytest.mark.parametrize("seed,excess", [
+        (0, 0.021905), (1, 0.000315), (3, 0.000005), (7, 0.001627), (42, 0.001180)])
+    def test_telescopic_excess_over_the_floor(self, seed, excess):
+        table = build_table(generate_key(KeygenParams(seed=seed, mode="telescopic")))
+        assert table.is_symmetric()
+        assert math.log2((table.frobenius + 1) / table.genus) == 1
+        divergence = emission_divergence(table)
+        assert round(divergence - 1, 6) == excess
+        assert divergence == pytest.approx(emission_divergence_by_gap(table), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7, 42])
+    def test_appendix_c_excess_over_the_floor(self, seed):
+        table = build_table(generate_key(KeygenParams(seed=seed, mode="appendix-c")))
+        floor = math.log2((table.frobenius + 1) / table.genus)
+        assert 0 <= round(emission_divergence(table) - floor, 6) <= 0.000124

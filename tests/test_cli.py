@@ -47,7 +47,7 @@ from gapstego.selftest import run_selftest
 
 def write_key(tmp_path, gens, mode="telescopic", seed=0, salt_pair=None, name="k.key"):
     path = tmp_path / name
-    path.write_text(serialize_key(KeyFile(validate_generators(gens), mode, seed, salt_pair)))
+    path.write_bytes(serialize_key(KeyFile(validate_generators(gens), mode, seed, salt_pair)))
     return path
 
 
@@ -74,7 +74,7 @@ class TestKeygen:
         assert line.startswith("generators=")
         for field in ("frobenius=", "genus=", "symmetric=", "telescopic=", "seed=1"):
             assert field in line
-        key = parse_key(out.read_text())
+        key = parse_key(out.read_bytes())
         assert key.seed == 1
         assert key.mode == "telescopic"
 
@@ -87,7 +87,7 @@ class TestKeygen:
         # the summary goes to stderr, so stdout holds the key file alone
         assert captured.out == out.read_text()
         assert captured.err == summary
-        assert parse_key(captured.out).seed == 1
+        assert parse_key(captured.out.encode()).seed == 1
 
     @pytest.mark.parametrize("seed", [-5, -1, 2**64])
     @pytest.mark.parametrize("command", ["keygen", "encode"])
@@ -108,7 +108,7 @@ class TestKeygen:
     def test_appendix_c_mode(self, tmp_path):
         out = tmp_path / "c.key"
         assert main(["keygen", "--mode", "appendix-c", "--seed", "3", "--out", str(out)]) == 0
-        key = parse_key(out.read_text())
+        key = parse_key(out.read_bytes())
         assert len(key.generators) == 5
         assert 500 <= key.generators[0] <= 1000
 
@@ -118,7 +118,7 @@ class TestKeygen:
         argv = ["--mode", "appendix-c", "--n-elements", "16", "--seed", "860"]
         assert main(["keygen", *argv, "--out", str(out)]) == 0
         printed = capsys.readouterr().out.split()[0].removeprefix("generators=").split(",")
-        assert [int(g) for g in printed] == list(parse_key(out.read_text()).generators)
+        assert [int(g) for g in printed] == list(parse_key(out.read_bytes()).generators)
         assert len(printed) == 16 and max(map(int, printed)) <= semigroup.MAX_GENERATOR
 
     def test_n_elements_1_is_usage_error(self, tmp_path, capsys):
@@ -129,7 +129,7 @@ class TestKeygen:
     def test_entropy_seed_recorded(self, tmp_path):
         out = tmp_path / "e.key"
         assert main(["keygen", "--out", str(out), "--n-elements", "2"]) == 0
-        key = parse_key(out.read_text())
+        key = parse_key(out.read_bytes())
         assert 0 <= key.seed < 2**64
 
     @pytest.mark.parametrize(
@@ -138,7 +138,7 @@ class TestKeygen:
     def test_file_reproduces_its_generators(self, tmp_path, argv):
         out = tmp_path / "r.key"
         assert main(["keygen", *argv, "--out", str(out)]) == 0
-        key = parse_key(out.read_text())
+        key = parse_key(out.read_bytes())
         params = KeygenParams(seed=key.seed, mode=key.mode, n_elements=len(key.generators))
         assert generate_key(params) == key.generators
 
@@ -254,7 +254,7 @@ class TestEncodeDecode:
     def test_seven_bytes_fourteen_values(self, tmp_path, viable_key):
         stream, recovered = self.round_trip(tmp_path, viable_key, b"BONJOUR")
         assert recovered == b"BONJOUR"
-        values = parse_stream(stream.read_text())
+        values = parse_stream(stream.read_bytes())
         assert len(values.values) == 14
         assert not values.salted
 
@@ -267,7 +267,7 @@ class TestEncodeDecode:
         payload = bytes(random.Random(2).randbytes(257))
         stream, recovered = self.round_trip(tmp_path, viable_key, payload, salt=True)
         assert recovered == payload
-        parsed = parse_stream(stream.read_text())
+        parsed = parse_stream(stream.read_bytes())
         assert parsed.salted
         assert parsed.salt_period == 37 * 38
 
@@ -298,7 +298,7 @@ class TestEncodeDecode:
         src = tmp_path / "p.bin"
         src.write_bytes(b"hi")
         assert main(["encode", "--key", str(viable_key), "--in", str(src), "--out", str(stream), "--seed", "1"]) == 0
-        values = parse_stream(stream.read_text()).values.tolist()
+        values = parse_stream(stream.read_bytes()).values.tolist()
         tampered = values + [37 + 38, 2 * 37 + 38]  # both members, so both flagged
         stream.write_text("".join(f"{v}\n" for v in tampered))
         rc = main(["decode", "--key", str(viable_key), "--in", str(stream), "--out", str(tmp_path / "o.bin"), "--verify"])
@@ -351,7 +351,7 @@ class TestSaltBound:
         payload = random.Random(0).randbytes(2000)
         rc, key, stream = self.encode(tmp_path, (5, 100000007, 2147483647), payload)
         assert rc == 0
-        text = stream.read_text()
+        text = stream.read_bytes()
         assert parse_stream(text).salt_period == period
         # k = 47..64 push values past 10**19, whose text takes 20 digits
         assert sum(len(line) == 20 for line in text.splitlines()) == 1100
@@ -640,6 +640,21 @@ class TestForgery:
         assert main(args + ["--verify"]) == 0
         assert out.read_bytes() == b"\x12\x34"
 
+    def test_observed_residues_replay_any_message(self, tmp_path, readme_key):
+        # a stream that shows all 16 residues holds a gap for every nibble:
+        # reordered, its values carry any message, and each still passes --verify
+        src, stream, forged, out = (tmp_path / n for n in ("p.bin", "s.txt", "f.txt", "o.bin"))
+        src.write_bytes(bytes.fromhex("0123456789abcdef"))
+        key = ["--key", str(readme_key)]
+        assert main(["encode", *key, "--in", str(src), "--out", str(stream), "--seed", "3"]) == 0
+        seen = {v % 16: v for v in parse_stream(stream.read_bytes()).values.tolist()}
+        assert len(seen) == 16
+        message = b"attack at dawn"
+        nibbles = [n for byte in message for n in (byte >> 4, byte & 0xF)]
+        forged.write_bytes(b"".join(b"%d\n" % seen[n] for n in nibbles))
+        assert main(["decode", *key, "--in", str(forged), "--out", str(out), "--verify"]) == 0
+        assert out.read_bytes() == message
+
 
 class TestKeyCost:
     def test_commands_never_list_the_gaps(self, tmp_path, readme_key, monkeypatch):
@@ -745,6 +760,35 @@ class TestKeyOnStdin:
         assert not out.exists()
 
 
+class TestNonUtf8Key:
+    """A key that is not UTF-8 text is refused by every command that reads one,
+    naming its first such line, before the payload or stream is read."""
+
+    @pytest.mark.parametrize("command", [
+        ["inspect"],
+        ["encode", "--in", "p.bin", "--out", "out"],
+        ["decode", "--verify", "--in", "s.txt", "--out", "out"],
+        ["analyze", "--in", "s.txt"],
+    ], ids=["inspect", "encode", "decode-verify", "analyze"])
+    @pytest.mark.parametrize("key_from", ["file", "stdin"])
+    def test_first_bad_line_named(self, tmp_path, capsys, command, key_from):
+        text = serialize_key(KeyFile(validate_generators(README_GENS), "telescopic", 1))
+        key = tmp_path / "bad.key"
+        key.write_bytes(text.replace(b"\n3692\n", b"\n3692\xff\n"))
+        (tmp_path / "p.bin").write_bytes(b"hi")
+        (tmp_path / "s.txt").write_bytes(b"1\n2\n" * 40)
+        out = tmp_path / "out"
+        argv = [str(tmp_path / a) if a in ("p.bin", "s.txt", "out") else a for a in command]
+        stdin = io.TextIOWrapper(io.BytesIO(key.read_bytes()), encoding="utf-8")
+        with mock.patch.object(sys, "stdin", stdin):
+            code = main([*argv, "--key", str(key) if key_from == "file" else "-"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: key file: not UTF-8 text, got '3692\\xff'\n"
+        assert not out.exists()
+
+
 class TestBinaryStdio:
     """Keys and streams on stdin and stdout are the bytes of their files, whatever
     text encoding Python is told to give its standard streams."""
@@ -762,7 +806,7 @@ class TestBinaryStdio:
         done = self.run("keygen", "--seed", "1", "--out", "-")
         assert done.returncode == 0
         assert done.stdout == key.read_bytes()
-        assert parse_key(done.stdout.decode()).generators.elements == README_GENS
+        assert parse_key(done.stdout).generators.elements == README_GENS
 
     @pytest.mark.parametrize("salt", [[], ["--salt"]], ids=["plain", "salt"])
     def test_encode_to_stdout_is_stream_file(self, tmp_path, readme_key, salt):

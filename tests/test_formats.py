@@ -37,12 +37,12 @@ def key_fixture(salt_pair=None):
 class TestKeyFormat:
     def test_serialize_shape(self):
         text = serialize_key(key_fixture())
-        assert text == "frobkey/1\nmode appendix-c\nseed 42\n5\n7\n"
+        assert text == b"frobkey/1\nmode appendix-c\nseed 42\n5\n7\n"
 
     def test_salt_pair_line(self):
         text = serialize_key(key_fixture(salt_pair=(0, 1)))
-        assert "salt-pair 0 1\n" in text
-        assert text.index("seed") < text.index("salt-pair")
+        assert b"salt-pair 0 1\n" in text
+        assert text.index(b"seed") < text.index(b"salt-pair")
 
     def test_round_trip(self):
         for key in (key_fixture(), key_fixture(salt_pair=(0, 1))):
@@ -53,29 +53,29 @@ class TestKeyFormat:
         assert serialize_key(parse_key(text)) == text
 
     def test_blank_lines_tolerated(self):
-        key = parse_key("frobkey/1\n\nmode telescopic\nseed 0\n\n4\n6\n9\n")
+        key = parse_key(b"frobkey/1\n\nmode telescopic\nseed 0\n\n4\n6\n9\n")
         assert key.generators.elements == (4, 6, 9)
         assert key.mode == "telescopic"
 
     @pytest.mark.parametrize(
         "text",
         [
-            "",
-            "frobkey/2\nmode telescopic\nseed 0\n5\n7\n",
-            "mode telescopic\nseed 0\n5\n7\n",
-            "frobkey/1\nmode sideways\nseed 0\n5\n7\n",
-            "frobkey/1\nmode telescopic\nseed x\n5\n7\n",
-            "frobkey/1\nmode telescopic\nseed -3\n5\n7\n",
-            "frobkey/1\nmode telescopic\nseed 0\n",
-            "frobkey/1\nmode telescopic\nseed 0\n5\n7\nbananas\n",
-            "frobkey/1\nmode telescopic\nseed 0\n7\n5\n",
-            "frobkey/1\nmode telescopic\nseed 0\n5\n5\n7\n",
-            "frobkey/1\nmode telescopic\nseed 0\n4\n6\n",
-            "frobkey/1\nmode telescopic\nseed 0\nsalt-pair 0\n5\n7\n",
-            "frobkey/1\nmode telescopic\nseed 0\nsalt-pair 0 5\n5\n7\n",
-            "frobkey/1\nmode telescopic\nseed 0\nsalt-pair 1 1\n5\n7\n",
-            "frobkey/1\nmode telescopic\nseed 0\nsalt-pairs 0 1\n5\n7\n",
-            "frobkey/1\nmode telescopic\nseed 0\nsalt-pair-x 0 1\n5\n7\n",
+            b"",
+            b"frobkey/2\nmode telescopic\nseed 0\n5\n7\n",
+            b"mode telescopic\nseed 0\n5\n7\n",
+            b"frobkey/1\nmode sideways\nseed 0\n5\n7\n",
+            b"frobkey/1\nmode telescopic\nseed x\n5\n7\n",
+            b"frobkey/1\nmode telescopic\nseed -3\n5\n7\n",
+            b"frobkey/1\nmode telescopic\nseed 0\n",
+            b"frobkey/1\nmode telescopic\nseed 0\n5\n7\nbananas\n",
+            b"frobkey/1\nmode telescopic\nseed 0\n7\n5\n",
+            b"frobkey/1\nmode telescopic\nseed 0\n5\n5\n7\n",
+            b"frobkey/1\nmode telescopic\nseed 0\n4\n6\n",
+            b"frobkey/1\nmode telescopic\nseed 0\nsalt-pair 0\n5\n7\n",
+            b"frobkey/1\nmode telescopic\nseed 0\nsalt-pair 0 5\n5\n7\n",
+            b"frobkey/1\nmode telescopic\nseed 0\nsalt-pair 1 1\n5\n7\n",
+            b"frobkey/1\nmode telescopic\nseed 0\nsalt-pairs 0 1\n5\n7\n",
+            b"frobkey/1\nmode telescopic\nseed 0\nsalt-pair-x 0 1\n5\n7\n",
         ],
     )
     def test_malformed_rejected(self, text):
@@ -85,27 +85,29 @@ class TestKeyFormat:
     @pytest.mark.parametrize("token", ["+1_0", "+5", "1_0", "\u0663"])
     def test_seed_token_is_ascii_digits(self, token):
         with pytest.raises(FormatError, match="seed: expected a decimal integer"):
-            parse_key(f"frobkey/1\nmode telescopic\nseed {token}\n5\n7\n")
+            parse_key(f"frobkey/1\nmode telescopic\nseed {token}\n5\n7\n".encode())
 
     def test_seed_u64_cap(self):
         big = 2**64
         with pytest.raises(FormatError):
-            parse_key(f"frobkey/1\nmode telescopic\nseed {big}\n5\n7\n")
+            parse_key(b"frobkey/1\nmode telescopic\nseed %d\n5\n7\n" % big)
 
     def test_numbers_longer_than_int_reads(self):
         # int reads at most 4,300 digits
-        key = parse_key(f"frobkey/1\nmode telescopic\nseed {'0' * 5000}9\n5\n7\n")
+        key = parse_key(b"frobkey/1\nmode telescopic\nseed %s9\n5\n7\n" % (b"0" * 5000))
         assert key.seed == 9
         with pytest.raises(FormatError, match=f"^seed: {'9' * 5000} outside"):
-            parse_key(f"frobkey/1\nmode telescopic\nseed {'9' * 5000}\n5\n7\n")
+            parse_key(b"frobkey/1\nmode telescopic\nseed %s\n5\n7\n" % (b"9" * 5000))
 
-    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
-    @pytest.mark.parametrize("blank", [" ", "\t", " \t "])
+    @pytest.mark.parametrize("brk", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("blank", [b" ", b"\t", b" \t "])
     def test_stream_line_grammar_accepted(self, brk, blank):
-        lines = ["frobkey/1", f"mode{blank}appendix-c", f"seed{blank}42", f"{blank}5{blank}", "7"]
+        lines = [b"frobkey/1", b"mode%sappendix-c" % blank, b"seed%s42" % blank,
+                 blank + b"5" + blank, b"7"]
         assert parse_key(brk.join(lines) + brk) == key_fixture()
 
-    # lines break at \n, \r\n or \r only and blanks are space and tab, as in a stream
+    # lines break at \n, \r\n or \r only and blanks are space and tab, as in a
+    # stream; the characters that are not are given as text, parsed as its UTF-8
     @pytest.mark.parametrize(
         "text",
         [
@@ -120,11 +122,25 @@ class TestKeyFormat:
     )
     def test_other_space_refused(self, text):
         with pytest.raises(FormatError):
+            parse_key(text.encode())
+
+    @pytest.mark.parametrize("head", [b"frobkey/1\nmode telescopic\nseed 1", b"frobkey/2"])
+    def test_non_utf8_line_named(self, head):
+        # named before any other check, and the first of two such lines
+        text = head + b"\n568\n\t3692\xff \r\n4084\n\xfe4314\n4483\n"
+        with pytest.raises(FormatError) as exc:
             parse_key(text)
+        assert str(exc.value) == "key file: not UTF-8 text, got '3692\\xff'"
+
+    def test_lone_surrogate_is_a_bad_token(self):
+        # decoded as a stream line is, so it is named by the token rule
+        with pytest.raises(FormatError) as exc:
+            parse_key(b"frobkey/1\nmode telescopic\nseed 0\n5\n\xed\xa0\x80\n")
+        assert str(exc.value) == "generator: expected a decimal integer, got '\\ud800'"
 
     def test_table_limit_refused(self):
         with pytest.raises(FormatError, match="multiplicity 20000001 exceeds the table limit"):
-            parse_key("frobkey/1\nmode telescopic\nseed 0\n20000001\n20000003\n")
+            parse_key(b"frobkey/1\nmode telescopic\nseed 0\n20000001\n20000003\n")
 
 
 class TestStreamFormat:
@@ -141,7 +157,7 @@ class TestStreamFormat:
 
     def test_empty(self):
         assert serialize_stream(CipherStream(())) == b""
-        assert parse_stream("") == CipherStream(())
+        assert parse_stream(b"") == CipherStream(())
 
     def test_round_trip_byte_identical(self):
         for stream in (CipherStream(()), CipherStream((5,)), CipherStream((1, 2), 35)):
@@ -151,12 +167,12 @@ class TestStreamFormat:
     @pytest.mark.parametrize(
         "text",
         [
-            "salt\n1\n2\n",
-            "salt x\n1\n2\n",
-            "salt 0\n1\n2\n",
-            "1\n-2\n",
-            "1\ntwo\n",
-            f"{2**64}\n",
+            b"salt\n1\n2\n",
+            b"salt x\n1\n2\n",
+            b"salt 0\n1\n2\n",
+            b"1\n-2\n",
+            b"1\ntwo\n",
+            b"%d\n" % 2**64,
         ],
     )
     def test_malformed_rejected(self, text):
@@ -172,24 +188,24 @@ class TestStreamFormat:
         assert parse_stream(serialize_stream(stream)) == stream
 
     def test_line_breaks_and_blanks(self):
-        text = "salt 35\r\n\t1 \r\r\n 2\t\n\n  \n3"
+        text = b"salt 35\r\n\t1 \r\r\n 2\t\n\n  \n3"
         assert parse_stream(text) == CipherStream((1, 2, 3), salt_period=35)
 
     def test_zero_padded_tokens(self):
-        text = f"{'0' * 30}\n{'0' * 10}{2**64 - 1}\n007\n"
+        text = b"%s\n%s%d\n007\n" % (b"0" * 30, b"0" * 10, 2**64 - 1)
         assert parse_stream(text) == CipherStream((0, 2**64 - 1, 7))
         with pytest.raises(FormatError, match=f"^stream value: {2**64} outside"):
-            parse_stream(f"{'0' * 10}{2**64}\n")
+            parse_stream(b"%s%d\n" % (b"0" * 10, 2**64))
 
     def test_tokens_longer_than_int_reads(self):
         # int reads at most 4,300 digits: a zero-padded good line of more is
         # still read, and a larger number is named as out of range
-        token = "0" * 5000 + "7"
-        assert parse_stream(f"{token}\n8\n") == CipherStream((7, 8))
+        token = b"0" * 5000 + b"7"
+        assert parse_stream(token + b"\n8\n") == CipherStream((7, 8))
         with pytest.raises(FormatError, match="^stream value: expected a decimal integer, got 'x'$"):
-            parse_stream(f"{token}\nx\n")
+            parse_stream(token + b"\nx\n")
         with pytest.raises(FormatError) as exc:
-            parse_stream(f"1\n{'9' * 5000}\n")
+            parse_stream(b"1\n%s\n" % (b"9" * 5000))
         assert str(exc.value) == f"stream value: {'9' * 5000} outside [0, {2**64 - 1}]"
 
     @pytest.mark.parametrize(
@@ -205,12 +221,12 @@ class TestStreamFormat:
             "1\x0c2",  # form feed no longer ends a line
             "1\u20282",  # nor does LINE SEPARATOR
             "0x1f",
-            "\ud800",  # lone surrogate
+            "\ud800",  # lone surrogate, which parses as UTF-8 with surrogatepass
         ],
     )
     def test_token_is_ascii_digits(self, line):
         # the first bad line is named, whatever follows it
-        text = f"7\n\t{line} \n-1\nx\n"
+        text = f"7\n\t{line} \n-1\nx\n".encode("utf-8", "surrogatepass")
         with pytest.raises(FormatError) as exc:
             parse_stream(text)
         assert str(exc.value) == f"stream value: expected a decimal integer, got {line!r}"
@@ -273,21 +289,20 @@ class TestFormatBoundaries:
 
 
 def check_parse(text):
-    """parse_stream on text, and on its bytes, gives the reference's values and
-    salt period, or its FormatError message."""
+    """parse_stream on the bytes of text gives the reference's values and salt
+    period, or its FormatError message."""
+    data = text.encode("utf-8", "surrogatepass")
     try:
         values, period = stream_reference.parse_stream(text)
     except FormatError as exc:
-        for data in (text, text.encode("utf-8", "surrogatepass")):
-            with pytest.raises(FormatError) as got:
-                parse_stream(data)
-            assert str(got.value) == str(exc)
+        with pytest.raises(FormatError) as got:
+            parse_stream(data)
+        assert str(got.value) == str(exc)
         return
-    for data in (text, text.encode("utf-8", "surrogatepass")):
-        stream = parse_stream(data)
-        assert stream.values.dtype == np.uint64
-        assert stream.values.tolist() == values
-        assert stream.salt_period == period
+    stream = parse_stream(data)
+    assert stream.values.dtype == np.uint64
+    assert stream.values.tolist() == values
+    assert stream.salt_period == period
 
 
 def check_parse_chunks(text):
@@ -310,8 +325,8 @@ def check_serialize(values, period):
     """serialize_stream writes the ASCII of str() of each value a line, after the header."""
     stream = CipherStream(values, period)
     lines = ([f"salt {period}"] if period else []) + list(map(str, stream.values.tolist()))
-    expected = "\n".join(lines) + "\n" if lines else ""
-    assert serialize_stream(stream) == expected.encode()
+    expected = ("\n".join(lines) + "\n" if lines else "").encode()
+    assert serialize_stream(stream) == expected
     assert parse_stream(expected) == stream
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gapstego import (
     DegenerateProgressionError,
-    EvenFrobeniusError,
     GeometricSpec,
     NotCoprimeError,
     ProgressionSpec,
@@ -20,7 +19,6 @@ from gapstego import (
     progression_frobenius,
     sigma,
     sylvester,
-    symmetric_genus,
     validate_generators,
     wilf_check,
 )
@@ -152,21 +150,6 @@ class TestGeometric:
             return
         spec = GeometricSpec(a, b, k)
         assert geometric_frobenius(spec) == frobenius_of(spec.generators())
-
-
-class TestSymmetricGenus:
-    def test_examples(self):
-        assert symmetric_genus(23) == 12
-        assert symmetric_genus(11) == 6
-        assert symmetric_genus(1) == 1
-
-    def test_even_rejected(self):
-        with pytest.raises(EvenFrobeniusError):
-            symmetric_genus(4)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            symmetric_genus(0)
 
 
 class TestDavison:
