@@ -14,7 +14,9 @@ The table comes from one round-robin pass that adds the generators in
 increasing order (Boecker & Liptak, Algorithmica 48, 2007).  With T the
 table of the prefix before generator a, a is redundant iff a >= T[a % m],
 and the sequence stays telescopic iff x >= T[x % m] for x = (d_prev // d) * a,
-with d_prev and d the gcds of the prefix without and with a.
+with d_prev and d the gcds of the prefix without and with a.  Every member of
+the semigroup of that prefix and a is a multiple of d, so adding a works on
+min_rep[::d] alone: a table mod m / d in which a steps by a / d.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .errors import (
     NonPositiveElementError,
 )
 
-# One int64 per residue class mod the multiplicity.  The round-robin pass
-# subtracts k * a, k < m, from entries that may hold the unreached sentinel
-# 2**62, and adds up to m * a to their minimum; m * a <= 10**7 * 2**31 is
-# far below it, so nothing wraps.
+# One int64 per residue class mod the multiplicity.  The round-robin pass on
+# min_rep[::d] subtracts k * a, k < m / d <= m, from entries that may hold the
+# unreached sentinel 2**62, and adds up to (m / d) * a to their minimum;
+# m * a <= 10**7 * 2**31 is far below it, so nothing wraps.
 MAX_MULTIPLICITY = 10**7
 MAX_GENERATOR = 2**31
 _UNREACHED = 2**62
@@ -157,55 +159,64 @@ def _round_robin(elems: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...], b
         if a >= int(n[a % m]):
             continue  # a sum of smaller generators: changes nothing
         minimal.append(a)
-        _add_generator(n, a)
+        # only multiples of d can be members now: the pass lowers the view n[::d]
+        # in place, and the other entries stay unreached
+        _add_generator(n[::d], a // d, a)
     n.setflags(write=False)
     return n, tuple(minimal), telescopic
 
 
-def _add_generator(n: np.ndarray, a: int) -> None:
+def _add_generator(n: np.ndarray, step: int, a: int) -> None:
     """Lower the table n in place to the minima once generator a is added.
 
-    a splits the residues mod m into g = gcd(a, m) cycles of the step
-    r -> r + a: the cycle of r holds the residues congruent to r mod g, a
-    column of n.reshape(m // g, g), and step k from row 0 lands on row
-    k * (a // g) mod (m // g) of every column.  With W[k] the running
+    n is min_rep[::d], with d the gcd of the prefix with a: a table mod
+    m = len(n) in which a leads from entry r to entry r + step, step = a / d,
+    at a cost of a.  step splits the entries into g = gcd(step, m) cycles:
+    the cycle of r holds the entries congruent to r mod g, a column of
+    n.reshape(m // g, g), and step k from row 0 lands on row
+    k * (step // g) mod (m // g) of every column.  With W[k] the running
     minimum of n - k*a along a cycle from row 0, its new entry at step k is
     k*a + min(W[k], W[last] + (m // g) * a), the second term being the way
-    round the end of the cycle.  A first pass takes W[last] in row order, a
-    second walks the cycles in step order, _BLOCK_RESIDUES residues at a
-    time, carrying each running minimum from one block of steps to the next.
+    round the end of the cycle.  The pass walks the cycles in step order,
+    _BLOCK_RESIDUES entries at a time, carrying each running minimum from
+    one block of steps to the next.  W[last] comes from the first block
+    when it holds whole cycles, else from a first pass in row order.
     """
     m = len(n)
-    g = math.gcd(a, m)
-    steps, q = m // g, a // g
+    g = math.gcd(step, m)
+    steps, q = m // g, step // g
     width = min(g, _BLOCK_RESIDUES)
     depth = min(steps, _BLOCK_RESIDUES // width)
-    ka_base = np.arange(depth, dtype=np.int64) * a
+    ka_base = np.arange(0, depth * a, a, dtype=np.int64)[:, None]
     for c0 in range(0, g, width):
         cycles = n.reshape(steps, g)[:, c0 : c0 + width]
-        carry = np.full(cycles.shape[1], np.iinfo(np.int64).max)
-        # row r is reached at step r * q^-1 mod steps
-        for r0, k in zip(range(0, steps, depth), _multiples(pow(q, -1, steps), steps, depth)):
-            np.minimum(carry, (cycles[r0 : r0 + depth] - (k * a)[:, None]).min(axis=0), out=carry)
-        carry += steps * a
+        if steps > depth:
+            last = np.full(cycles.shape[1], _UNREACHED)
+            # row r is reached at step r * q^-1 mod steps
+            for r0, k in zip(range(0, steps, depth), _multiples(pow(q, -1, steps), steps, depth)):
+                np.minimum(last, (cycles[r0 : r0 + depth] - (k * a)[:, None]).min(axis=0), out=last)
+        # a block holds n - (k - k0)*a at steps k0, k0 + 1, ...: its carry is W + k0*a
         for k0, rows in zip(range(0, steps, depth), _multiples(q, steps, depth)):
-            ka = (ka_base[: len(rows)] + k0 * a)[:, None]
+            ka = ka_base[: len(rows)]
             v = cycles[rows]
             v -= ka
+            if k0 == 0:  # a cycle that fits one block is read once, here
+                carry = (last if steps > depth else np.minimum.reduce(v)) + steps * a
             _running_min(v, carry)
-            carry = v[-1].copy()
+            carry = v[-1] + depth * a
             v += ka
             cycles[rows] = v
 
 
 def _multiples(step: int, modulus: int, depth: int) -> Iterator[np.ndarray]:
     """k * step % modulus for k = 0, 1, ..., modulus - 1, depth values at a time."""
-    k = np.arange(depth, dtype=np.int64) * step % modulus
+    k = np.arange(0, depth * step, step, dtype=np.int64) % modulus
     shift = depth * step % modulus
     for k0 in range(0, modulus, depth):
+        if k0:
+            k += shift
+            np.subtract(k, modulus, out=k, where=k >= modulus)
         yield k[: modulus - k0]
-        k += shift
-        np.subtract(k, modulus, out=k, where=k >= modulus)
 
 
 def _running_min(v: np.ndarray, first: np.ndarray) -> None:

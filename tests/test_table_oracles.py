@@ -118,6 +118,9 @@ def test_structure_matches_sieve_definitions(elems):
 @example([7, 11], 2)
 @example([10, 15, 17], 2)
 @example([12, 20, 23], 3)
+# prefix gcds 12, 6, 3, 1 and 20, 10, 5, 1: each pass runs on a strided view of the table
+@example([12, 18, 27, 40], 2)
+@example([20, 30, 45, 67], 3)
 @settings(max_examples=150)
 def test_blocks_of_a_few_residues_match_the_oracles(elems, block):
     # the cycles of each generator span several blocks of steps and of cycles
@@ -151,6 +154,32 @@ def test_small_keys_reach_both_verdicts():
     assert all(is_telescopic(validate_generators(k)) for k in keys)
     assert not telescopic_by_definition([6, 10, 14, 15])
     assert redundant_by_definition([5, 7, 12, 17]) == [False, False, True, True]
+
+
+def residues_handed_to_the_pass(elems):
+    """len(n) of each table the pass lowers while building elems' table."""
+    add = semigroup._add_generator
+    sizes = []
+
+    def recorded(n, *rest):
+        sizes.append(len(n))
+        add(n, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "_add_generator", recorded)
+        semigroup._round_robin.cache_clear()
+        build_table(validate_generators(elems))
+    semigroup._round_robin.cache_clear()
+    return sizes
+
+
+def test_the_pass_works_on_the_residues_the_prefix_reaches():
+    # BIGKEY's prefix gcds fall 160,000 -> 80,000 -> ... -> 1: generator a is
+    # added on the m / d residues that are multiples of d, not on all m of them
+    assert sum(residues_handed_to_the_pass(BIGKEY)) == 305_026
+    # at gcd 1 from the second generator on, every added generator takes all m
+    m = 1000
+    assert residues_handed_to_the_pass((m, m + 1, m + 7, 2 * m + 3, 3 * m + 11)) == [m] * 4
 
 
 def test_bigkey_matches_dijkstra():
