@@ -54,7 +54,7 @@ def main() -> None:
     print("a cautionary tale at (a, b, k) = (2, 3, 2)")
     gens = validate_generators(GeometricSpec(2, 3, 2).generators())
     sieve = brute_force_sieve(gens, 64)
-    largest_gap = max(x for x in range(65) if not sieve.is_member(x))
+    largest_gap = max(x for x in range(65) if not sieve[x])
     print(f"  the tidy-looking product ab(a+b-1) gives {2 * 3 * (2 + 3 - 1)}")
     print(f"  the power-sum formula gives {geometric_frobenius(GeometricSpec(2, 3, 2))}")
     print(f"  brute force over {tuple(gens)} says the largest gap is {largest_gap}")
@@ -64,7 +64,7 @@ def main() -> None:
     print("two inequalities every semigroup here must satisfy")
     gens = validate_generators((4, 6, 9))
     table = build_table(gens)
-    minimal = minimal_generators(gens)
+    minimal = minimal_generators(table)
     dav = davison_check(*minimal, table.frobenius)
     wil = wilf_check(len(minimal), table.frobenius, table.genus)
     print(f"  on {tuple(gens)} with F = {table.frobenius}, genus {table.genus}:")

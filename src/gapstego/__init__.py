@@ -74,7 +74,6 @@ from .keygen import (
 )
 from .semigroup import (
     GeneratingSet,
-    MembershipSieve,
     SemigroupTable,
     brute_force_sieve,
     build_table,
@@ -104,7 +103,6 @@ __all__ = [
     "KeyViability",
     "KeygenParams",
     "LimitError",
-    "MembershipSieve",
     "NegativeInputError",
     "NonPositiveElementError",
     "NotCoprimeError",

@@ -91,7 +91,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         f"generators={','.join(str(g) for g in gens)}"
         f" frobenius={table.frobenius} genus={table.genus}"
         f" symmetric={_bool_word(table.is_symmetric())}"
-        f" telescopic={_bool_word(is_telescopic(gens))}"
+        f" telescopic={_bool_word(is_telescopic(table))}"
         f" seed={seed}",
         # a key written to stdout is followed by nothing else there
         file=sys.stderr if args.out == "-" else sys.stdout,
@@ -102,7 +102,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     key = _load_key(args.key)
     table = build_table(key.generators)
-    minimal = minimal_generators(key.generators)
+    minimal = minimal_generators(table)
     counts = check_viability(table)
     print(f"generators {','.join(str(g) for g in key.generators)}")
     print(f"multiplicity {table.multiplicity}")
@@ -110,7 +110,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"genus {table.genus}")
     print(f"gap_density {gap_density(table)}")
     print(f"symmetric {_bool_word(table.is_symmetric())}")
-    print(f"telescopic {_bool_word(is_telescopic(key.generators))}")
+    print(f"telescopic {_bool_word(is_telescopic(table))}")
     print(f"minimal_generators {','.join(str(g) for g in minimal)}")
 
     apery = ",".join(map(str, table.min_rep[:_APERY_PRINT_LIMIT].tolist()))

@@ -1,4 +1,4 @@
-"""Numerical semigroups: construction, membership, gaps, structure tests.
+"""Numerical semigroups: construction, membership, structure tests.
 
 A numerical semigroup S is the set of all non-negative integer combinations
 of finitely many generators whose gcd is 1.  Cofinitely many integers belong
@@ -17,11 +17,14 @@ and the sequence stays telescopic iff x >= T[x % m] for x = (d_prev // d) * a,
 with d_prev and d the gcds of the prefix without and with a.  Every member of
 the semigroup of that prefix and a is a multiple of d, so adding a works on
 min_rep[::d] alone: a table mod m / d in which a steps by a / d.
+
+build_table runs that pass once per call and stores both verdicts on the
+table it returns, where minimal_generators and is_telescopic read them.
+brute_force_sieve is the independent referee.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -94,7 +97,10 @@ class SemigroupTable:
     """Per-residue minima of a numerical semigroup plus derived constants.
 
     min_rep has one entry per residue class mod the multiplicity and is
-    marked read-only.  Equality is identity; compare fields explicitly.
+    marked read-only.  minimal is the minimal generating set and
+    telescopic the verdict on the generator sequence, both decided by the
+    pass that built min_rep.  Equality is identity; compare fields
+    explicitly.
     """
 
     generators: GeneratingSet
@@ -102,6 +108,8 @@ class SemigroupTable:
     min_rep: np.ndarray
     frobenius: int
     genus: int
+    minimal: GeneratingSet
+    telescopic: bool
 
     def is_member(self, x: int) -> bool:
         """Decide x in S in O(1)."""
@@ -115,11 +123,6 @@ class SemigroupTable:
         if arr.size and int(arr.min()) < 0:
             raise NegativeInputError("membership is defined for x >= 0")
         return arr >= self.min_rep[arr % self.multiplicity]
-
-    def gaps(self) -> np.ndarray:
-        """All gaps in increasing order, O(genus): row r holds r, r + m, ..., min_rep[r] - m."""
-        rows = enumerate(self.min_rep.tolist())
-        return np.sort(np.concatenate([np.arange(r, top, self.multiplicity) for r, top in rows]))
 
     def is_symmetric(self) -> bool:
         """True when the gaps fill exactly half of [0, F].
@@ -136,34 +139,6 @@ def check_limits(elems: Sequence[int]) -> None:
         raise LimitError(f"multiplicity {elems[0]} exceeds the table limit {MAX_MULTIPLICITY}")
     if elems[-1] > MAX_GENERATOR:
         raise LimitError(f"generator {elems[-1]} exceeds the limit {MAX_GENERATOR}")
-
-
-@functools.lru_cache(maxsize=1)
-def _round_robin(elems: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...], bool]:
-    """Table, minimal generators and telescopic verdict of increasing elems.
-
-    The last key's result is kept, its table read-only.
-    """
-    check_limits(elems)
-    m = elems[0]
-    n = np.full(m, _UNREACHED, dtype=np.int64)
-    n[0] = 0
-    minimal = [m]
-    telescopic = True
-    d_prev = m
-    for a in elems[1:]:
-        d = math.gcd(d_prev, a)
-        x = d_prev // d * a
-        telescopic = telescopic and x >= int(n[x % m])
-        d_prev = d
-        if a >= int(n[a % m]):
-            continue  # a sum of smaller generators: changes nothing
-        minimal.append(a)
-        # only multiples of d can be members now: the pass lowers the view n[::d]
-        # in place, and the other entries stay unreached
-        _add_generator(n[::d], a // d, a)
-    n.setflags(write=False)
-    return n, tuple(minimal), telescopic
 
 
 def _add_generator(n: np.ndarray, step: int, a: int) -> None:
@@ -234,19 +209,37 @@ def build_table(gens: GeneratingSet) -> SemigroupTable:
 
     Before adding generator a, the prefix table T decides that a is
     redundant (a >= T[a % m]), and skipped, and whether the sequence stays
-    telescopic (x >= T[x % m], x = (d_prev // d) * a), so minimal_generators
-    and is_telescopic share the pass.  Raises LimitError past either cap.
+    telescopic (x >= T[x % m], x = (d_prev // d) * a); the table keeps both
+    verdicts.  Raises LimitError past either cap.
     """
-    min_rep = _round_robin(gens.elements)[0]
-    m = gens.elements[0]
+    elems = gens.elements
+    check_limits(elems)
+    m = elems[0]
+    min_rep = np.full(m, _UNREACHED, dtype=np.int64)
+    min_rep[0] = 0
+    minimal = [m]
+    telescopic = True
+    d_prev = m
+    for a in elems[1:]:
+        d = math.gcd(d_prev, a)
+        x = d_prev // d * a
+        telescopic = telescopic and x >= int(min_rep[x % m])
+        d_prev = d
+        if a >= int(min_rep[a % m]):
+            continue  # a sum of smaller generators: changes nothing
+        minimal.append(a)
+        # only multiples of d can be members now: the pass lowers the view
+        # min_rep[::d] in place, and the other entries stay unreached
+        _add_generator(min_rep[::d], a // d, a)
+    min_rep.setflags(write=False)
     frobenius = int(min_rep.max()) - m
     blocks = range(0, m, _BLOCK_RESIDUES)
     genus = sum(int((min_rep[i : i + _BLOCK_RESIDUES] // m).sum()) for i in blocks)
-    return SemigroupTable(gens, m, min_rep, frobenius, genus)
+    return SemigroupTable(gens, m, min_rep, frobenius, genus, GeneratingSet(tuple(minimal)), telescopic)
 
 
-def is_telescopic(gens: GeneratingSet) -> bool:
-    """Test the telescopic condition on the increasing generator sequence.
+def is_telescopic(table: SemigroupTable) -> bool:
+    """The telescopic verdict on the table's increasing generator sequence.
 
     With d_i the gcd of the first i elements, the sequence is telescopic
     when every quotient a_i / d_i is generated by the prefix divided by
@@ -254,35 +247,20 @@ def is_telescopic(gens: GeneratingSet) -> bool:
     (4, 6, 9), which any workable definition must accept.)  Telescopic
     sequences always generate symmetric semigroups.
     """
-    return _round_robin(gens.elements)[2]
+    return table.telescopic
 
 
-def minimal_generators(gens: GeneratingSet) -> GeneratingSet:
-    """Drop every generator that the remaining ones already produce.
+def minimal_generators(table: SemigroupTable) -> GeneratingSet:
+    """The table's generators less every one that the others already produce.
 
     The survivors form the unique minimal generating set of the same
     semigroup; their count is the embedding dimension.
     """
-    return GeneratingSet(_round_robin(gens.elements)[1])
+    return table.minimal
 
 
-@dataclass(frozen=True, eq=False)
-class MembershipSieve:
-    """Plain boolean table of representable numbers on [0, bound]."""
-
-    bound: int
-    representable: np.ndarray
-
-    def is_member(self, x: int) -> bool:
-        if x < 0:
-            raise NegativeInputError(f"membership is defined for x >= 0, got {x}")
-        if x > self.bound:
-            raise ValueError(f"sieve covers [0, {self.bound}], got {x}")
-        return bool(self.representable[x])
-
-
-def brute_force_sieve(gens: GeneratingSet, bound: int) -> MembershipSieve:
-    """Mark every sum of generators up to bound by direct dynamic programming.
+def brute_force_sieve(gens: GeneratingSet, bound: int) -> np.ndarray:
+    """Read-only boolean array on [0, bound]: entry x is True when x is a sum of generators.
 
     Kept deliberately independent of build_table so the two can referee
     each other: the array is closed under adding each generator via
@@ -299,4 +277,4 @@ def brute_force_sieve(gens: GeneratingSet, bound: int) -> MembershipSieve:
             rep[step:] |= rep[:-step].copy()
             step *= 2
     rep.setflags(write=False)
-    return MembershipSieve(bound, rep)
+    return rep

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gapstego import build_table, validate_generators
+from gapstego import brute_force_sieve, build_table, validate_generators
 
 settings.register_profile(
     "suite",
@@ -11,6 +12,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def sieve_gaps(table):
+    """The gaps of table's semigroup in increasing order, read off brute_force_sieve.
+
+    The sieve runs to F + m and must show m members in a row after F, so
+    every later number is a member too and the list is complete.
+    """
+    sieve = brute_force_sieve(table.generators, table.frobenius + table.multiplicity)
+    assert sieve[table.frobenius + 1 :].all()
+    return np.flatnonzero(~sieve)
 
 
 @pytest.fixture(scope="session")

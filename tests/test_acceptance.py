@@ -298,20 +298,20 @@ def test_criterion_11_bound_checks(
     is redundant.  A 200-key subsample re-derives that from scratch.
     """
     cases = (
-        [(minimal_generators(g), t.frobenius, t.genus) for g, t in random_family.items]
+        [(minimal_generators(t), t.frobenius, t.genus) for _g, t in random_family.items]
         + [((a, b), frob, genus) for a, b, frob, genus in sylvester_records.items]
         + [
             (ProgressionSpec(a, d, w).generators(), frob, genus)
             for a, d, w, frob, genus in progression_records.items
         ]
         + [(s.generators(), t.frobenius, t.genus) for s, t in geometric_records.items]
-        + [(minimal_generators(g), t.frobenius, t.genus) for _s, g, t in telescopic_family.items]
+        + [(minimal_generators(t), t.frobenius, t.genus) for _s, _g, t in telescopic_family.items]
     )
     specs = [ProgressionSpec(a, d, w) for a, d, w, _f, _g in progression_records.items[::153]]
     with _reported(11, "bound-checks"):
         for spec in specs + [s for s, _t in geometric_records.items]:
             gens = validate_generators(spec.generators())
-            assert tuple(minimal_generators(gens)) == tuple(gens), f"{spec} not minimal"
+            assert tuple(minimal_generators(build_table(gens))) == tuple(gens), f"{spec} not minimal"
         davison = sum(selftest.check_bounds(*case) for case in cases)
     _report(
         11,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -20,7 +21,6 @@ from gapstego import (
     KeyFile,
     KeygenParams,
     SaltSpec,
-    SemigroupTable,
     analysis,
     brute_force_sieve,
     build_gap_index,
@@ -41,8 +41,7 @@ from gapstego import (
     validate_generators,
 )
 from gapstego.cli import main
-from gapstego.semigroup import _round_robin
-from gapstego.selftest import run_selftest
+from gapstego.selftest import check_symmetry, run_selftest
 
 
 def write_key(tmp_path, gens, mode="telescopic", seed=0, salt_pair=None, name="k.key"):
@@ -657,26 +656,45 @@ class TestForgery:
 
 
 class TestKeyCost:
-    def test_commands_never_list_the_gaps(self, tmp_path, readme_key, monkeypatch):
-        def refuse(table):
-            raise AssertionError("a command listed every gap of the key")
-
-        monkeypatch.setattr(SemigroupTable, "gaps", refuse)
-        src = tmp_path / "p.bin"
+    def test_commands_never_list_the_gaps(self, tmp_path):
+        # bigkey has 14,751,704 gaps: a list of them takes a byte a gap at least,
+        # and no command's traced peak comes near that
+        genus = build_table(validate_generators(BIGKEY_GENS)).genus
+        key = ["--key", str(write_key(tmp_path, BIGKEY_GENS, seed=1, salt_pair=(10, 11)))]
+        src, stream, salted = tmp_path / "p.bin", tmp_path / "s.txt", tmp_path / "salted.txt"
         src.write_bytes(random.Random(0).randbytes(100))
-        key = ["--key", str(readme_key)]
-        stream, salted = tmp_path / "s.txt", tmp_path / "salted.txt"
-        assert main(["encode", *key, "--in", str(src), "--out", str(stream)]) == 0
-        assert main(["encode", *key, "--in", str(src), "--out", str(salted), "--salt"]) == 0
-        assert main(["inspect", *key]) == 0
         out = str(tmp_path / "o.bin")
-        assert main(["decode", *key, "--in", str(salted), "--out", out, "--verify"]) == 0
-        assert main(["analyze", *key, "--in", str(stream)]) == 0
+        for argv in (
+            ["encode", *key, "--in", str(src), "--out", str(stream)],
+            ["encode", *key, "--in", str(src), "--out", str(salted), "--salt"],
+            ["inspect", *key],
+            ["decode", *key, "--in", str(salted), "--out", out, "--verify"],
+            ["analyze", *key, "--in", str(stream)],
+        ):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < genus, argv[0]
 
-    def test_inspect_runs_one_pass(self, readme_key):
-        _round_robin.cache_clear()
+    def test_inspect_runs_one_pass(self, readme_key, monkeypatch):
+        # inspect reads the minimal generators and the telescopic verdict off
+        # the one table it builds
+        calls = []
+
+        def counted(build):
+            def build_and_count(gens):
+                calls.append(tuple(gens))
+                return build(gens)
+
+            return build_and_count
+
+        for module in (cli, keygen, semigroup):
+            monkeypatch.setattr(module, "build_table", counted(module.build_table))
         assert main(["inspect", "--key", str(readme_key)]) == 0
-        assert _round_robin.cache_info().misses == 1
+        assert calls == [README_GENS]
 
 
 class TestAnalyze:
@@ -1031,7 +1049,7 @@ SUITE_FAULTS = [
     ("sylvester-cross-check", formulas, "sylvester", lambda a, b: 0),
     ("progression-cross-check", formulas, "progression_frobenius", lambda spec: 0),
     ("geometric-cross-check", formulas, "geometric_frobenius", lambda spec: 0),
-    ("telescopic-symmetry", semigroup, "is_telescopic", lambda gens: False),
+    ("telescopic-symmetry", semigroup, "is_telescopic", lambda table: False),
     ("codec-round-trip", codec, "decode_message", lambda stream: b"?"),
     ("bound-checks", formulas, "wilf_check", lambda *args: mock.Mock(holds=False)),
     # an appendix-c key outside keygen's ranges, which the codec suite takes as any other
@@ -1040,6 +1058,14 @@ SUITE_FAULTS = [
 
 
 class TestSelftest:
+    def test_symmetry_check_counts_the_gaps(self):
+        # (3, 5, 7) has gaps 1, 2, 4: a genus of 4 meets the bound and leaves the
+        # table non-symmetric, as the pairing scan finds, so only the count sees it
+        table = build_table(validate_generators((3, 5, 7)))
+        assert check_symmetry(table) is False
+        with pytest.raises(AssertionError, match=r"genus 4 but 3 gaps"):
+            check_symmetry(dataclasses.replace(table, genus=4))
+
     def test_cli_passes(self, capsys):
         assert main(["selftest", "--seed", "0"]) == 0
         out = capsys.readouterr().out

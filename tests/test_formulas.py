@@ -133,8 +133,8 @@ class TestGeometric:
         assert true_value == 11
         assert wrong != true_value
         sieve = brute_force_sieve(validate_generators((4, 6, 9)), 30)
-        assert not sieve.is_member(11)
-        assert all(sieve.is_member(x) for x in range(12, 31))
+        assert not sieve[11]
+        assert sieve[12:].all()
 
     def test_bad_specs(self):
         with pytest.raises(NotCoprimeError):
@@ -209,5 +209,5 @@ class TestWilf:
 
         gens = validate_generators(raw)
         t = build_table(gens)
-        d = len(minimal_generators(gens))
+        d = len(minimal_generators(t))
         assert wilf_check(d, t.frobenius, t.genus).holds
