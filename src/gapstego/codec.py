@@ -31,7 +31,6 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -44,62 +43,41 @@ from .errors import (
     OddLengthError,
     ValueExceedsPeriodError,
 )
-from .semigroup import GeneratingSet, SemigroupTable
+from .semigroup import UINT64_MAX, GeneratingSet, SemigroupTable
 
 # Nibble v travels as a gap congruent to v mod 16.
 MODULUS = 16
 DEFAULT_K_MAX = 64
 # Values a step with per-value scratch takes at a time: 256 KiB of uint64.
 CHUNK_VALUES = 1 << 15
-# Rows of the table that class_counts counts at a time, a multiple of MODULUS.
+# Rows that class_counts counts, and build_gap_index indexes, at a time; a
+# multiple of MODULUS.
 _BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
 class GapIndex:
-    """Running gap counts per residue class mod 16 over the rows of the table.
+    """Running gap counts per residue class mod 16 over the rows of the table,
+    and a rank directory over them, as three read-only arrays.
 
-    classes is one read-only (16, m // gcd(m, 16) + 1) int64 array, and
-    classes[v][i] counts the gaps congruent to v in the rows before the
-    i-th that can hold any (see class_gaps).
+    classes is one (16, m // gcd(m, 16) + 1) int64 array, and classes[v][i]
+    counts the gaps congruent to v in the rows before the i-th that can hold
+    any (see class_gaps).  The ranks of class v fall in buckets of
+    W = 2**shift[v], the power of two at or above the class's mean row
+    length, and rows[v][b] is the last row whose start is <= b * W.
+
+    rows has at most one entry per row of the index, in the narrowest
+    unsigned type that holds a row number (at most 32 bits), so it is at
+    most half the bytes of classes.  Entries past a class's last bucket are 0.
     """
 
     multiplicity: int
     classes: np.ndarray
+    shift: np.ndarray
+    rows: np.ndarray
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(self.classes[:, -1].tolist())
-
-    @cached_property
-    def directory(self) -> tuple[np.ndarray, np.ndarray]:
-        """(shift, rows), built on the first draw: the ranks of class v fall in
-        buckets of W = 2**shift[v], the power of two at or above the class's
-        mean row length, and rows[v][b] is the last row whose start is <= b * W.
-
-        rows has at most one entry per row of the index, in the narrowest
-        unsigned type that holds a row number (at most 32 bits), so it is at
-        most half the index's bytes.  Entries past a class's last bucket are 0.
-        """
-        n_rows = self.classes.shape[1] - 1
-        sizes = self.classes[:, -1].tolist()
-        shift = np.array([(-(-size // n_rows) - 1).bit_length() for size in sizes])
-        buckets = max(-(-size >> int(s)) for size, s in zip(sizes, shift))
-        rows = np.zeros((MODULUS, buckets), dtype=np.min_scalar_type(n_rows))
-        for v, (starts, s) in enumerate(zip(self.classes, shift)):
-            # row i holds the ranks [starts[i], starts[i + 1]), so it is the entry
-            # of buckets ceil(starts[i] / W) up to ceil(starts[i + 1] / W) - 1
-            for i0 in range(0, n_rows, _BLOCK_ROWS):
-                first = -(-starts[i0 : i0 + _BLOCK_ROWS + 1] >> s)
-                rows[v, first[0] : first[-1]] = np.repeat(
-                    np.arange(i0, i0 + len(first) - 1, dtype=rows.dtype), np.diff(first)
-                )
-        return shift, rows
-
-    def gaps_at(self, v: int, u: np.ndarray) -> np.ndarray:
-        """The gaps of class v numbered u row by row, 0 <= u < class size."""
-        u = np.array(u, dtype=np.int64)
-        counts = [u.size if w == v else 0 for w in range(MODULUS)]
-        return self._gaps(counts, u.ravel()).reshape(u.shape)
 
     def _gaps(self, counts: list[int], u: np.ndarray) -> np.ndarray:
         """The gaps numbered u, an int64 array of ranks by class: the first
@@ -108,17 +86,16 @@ class GapIndex:
         m = self.multiplicity
         g = math.gcd(m, MODULUS)
         c = MODULUS // g
-        shift, rows = self.directory
         v = np.arange(MODULUS)
 
         def per_value(per_class: np.ndarray) -> np.ndarray:
             return np.repeat(per_class, counts)
 
         # each value's bucket, then the bucket's row in its place
-        row = per_value(shift)
+        row = per_value(self.shift)
         np.right_shift(u, row, out=row)
-        row += per_value(v * rows.shape[1])
-        row[:] = rows.ravel()[row]
+        row += per_value(v * self.rows.shape[1])
+        row[:] = self.rows.ravel()[row]
         # as a position in classes.ravel(), where row i of class v is v * (m // g + 1) + i
         first_row = v * self.classes.shape[1]
         row += per_value(first_row)
@@ -205,7 +182,7 @@ class CipherStream:
             raise TypeError(f"stream values must be integers, got dtype {values.dtype}")
         if low < 0:
             raise NegativeInputError(f"stream values must lie in [0, 2**64 - 1], got {low}")
-        if high > 2**64 - 1:
+        if high > UINT64_MAX:
             raise LimitError(f"stream values must lie in [0, 2**64 - 1], got {high}")
         values = np.asarray(given if kind in "fO" else values, dtype=np.uint64).view()
         values.flags.writeable = False
@@ -239,7 +216,7 @@ class SaltSpec:
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         # the largest salted value, (period - 1) + k_max * period, must fit a stream
-        if (self.k_max + 1) * self.period > 2**64:
+        if (self.k_max + 1) * self.period - 1 > UINT64_MAX:
             raise ValueError(f"k_max {self.k_max} with period {self.period} passes 2**64 - 1")
 
     @classmethod
@@ -253,7 +230,8 @@ class SaltSpec:
 
 
 def build_gap_index(table: SemigroupTable) -> GapIndex:
-    """Running gap counts per residue class mod 16, summed a block of rows at a time.
+    """Running gap counts per residue class mod 16, then the rank directory
+    over them, each built a block of rows at a time.
 
     Raises EmptyClassError naming the smallest residue whose class holds
     no gap, since such a key cannot carry that nibble value.
@@ -265,8 +243,22 @@ def build_gap_index(table: SemigroupTable) -> GapIndex:
             starts[i0 + 1 : i0 + 1 + len(counts)] = counts.cumsum() + starts[i0]
         if starts[-1] == 0:
             raise EmptyClassError(v)
-    classes.flags.writeable = False
-    return GapIndex(m, classes)
+    n_rows = classes.shape[1] - 1
+    sizes = classes[:, -1].tolist()
+    shift = np.array([(-(-size // n_rows) - 1).bit_length() for size in sizes])
+    buckets = max(-(-size >> int(s)) for size, s in zip(sizes, shift))
+    rows = np.zeros((MODULUS, buckets), dtype=np.min_scalar_type(n_rows))
+    for v, (starts, s) in enumerate(zip(classes, shift)):
+        # row i holds the ranks [starts[i], starts[i + 1]), so it is the entry
+        # of buckets ceil(starts[i] / W) up to ceil(starts[i + 1] / W) - 1
+        for i0 in range(0, n_rows, _BLOCK_ROWS):
+            first = -(-starts[i0 : i0 + _BLOCK_ROWS + 1] >> s)
+            rows[v, first[0] : first[-1]] = np.repeat(
+                np.arange(i0, i0 + len(first) - 1, dtype=rows.dtype), np.diff(first)
+            )
+    for array in (classes, shift, rows):
+        array.flags.writeable = False
+    return GapIndex(m, classes, shift, rows)
 
 
 def generator_from(rng: random.Random | np.random.Generator) -> np.random.Generator:
@@ -284,7 +276,7 @@ def encode_message(
 
     Each chunk of CHUNK_VALUES // 2 bytes draws the ranks of its values a
     class at a time from generator_from(rng), one call per class in class
-    order, and turns them into gaps in one pass through index.directory.
+    order, and turns them into gaps in one pass through the rank directory.
     """
     gen = generator_from(rng)
     data = np.frombuffer(payload, dtype=np.uint8)

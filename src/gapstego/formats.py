@@ -48,18 +48,17 @@ import numpy as np
 from .codec import CHUNK_VALUES, CipherStream
 from .errors import FormatError, GapstegoError
 from .keygen import MODES
-from .semigroup import GeneratingSet, check_limits, validate_generators
+from .semigroup import UINT64_MAX, GeneratingSet, check_limits, validate_generators
 
 KEY_MAGIC = "frobkey/1"
 # Stream text is read and parsed this many bytes (of whole lines) at a time.
 CHUNK_BYTES = 1 << 18
-_U64_MAX = 2**64 - 1
 _TOKEN = re.compile("[0-9]+")
 _BLANKS = " \t"
 _LINE_BREAKS = "\r\n"
 _HEADER = re.compile(f"[{_BLANKS}{_LINE_BREAKS}]*salt[^{_LINE_BREAKS}]*".encode())
 # 2**64 - 1 has 20 digits: a longer token is in range only when zero-padded
-_WIDTH = len(str(_U64_MAX))
+_WIDTH = len(str(UINT64_MAX))
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ def _parse_uint(text: str, what: str) -> int:
         raise FormatError(f"{what}: expected a decimal integer, got {text!r}")
     # its decimal form; int reads a few thousand digits at most
     digits = text.lstrip("0") or "0"
-    if len(digits) > _WIDTH or int(digits) > _U64_MAX:
-        raise FormatError(f"{what}: {digits} outside [0, {_U64_MAX}]")
+    if len(digits) > _WIDTH or int(digits) > UINT64_MAX:
+        raise FormatError(f"{what}: {digits} outside [0, {UINT64_MAX}]")
     return int(digits)
 
 
@@ -279,7 +278,7 @@ def _parse_values(body: bytes | memoryview) -> np.ndarray:
         np.count_nonzero(buf - np.uint8(ord("0")) < 10) < lengths.sum()
         or (blank and not np.logical_or.reduceat(breaks, ends)[:-1].all())
         or any(
-            len(token := raw[i:j].lstrip(b"0")) > _WIDTH or int(token or b"0") > _U64_MAX
+            len(token := raw[i:j].lstrip(b"0")) > _WIDTH or int(token or b"0") > UINT64_MAX
             for i, j in zip(starts[wide].tolist(), ends[wide].tolist())
         )
     ):

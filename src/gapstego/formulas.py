@@ -17,8 +17,7 @@ from .errors import (
     NegativeInputError,
     NotCoprimeError,
 )
-
-UINT64_MAX = 2**64 - 1
+from .semigroup import UINT64_MAX
 
 
 def _require_at_least_two(value: int, name: str) -> None:

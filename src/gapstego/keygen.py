@@ -25,6 +25,7 @@ from .codec import MODULUS
 from .errors import ViabilityFailure
 from .semigroup import (
     MAX_GENERATOR,
+    UINT64_MAX,
     GeneratingSet,
     SemigroupTable,
     build_table,
@@ -40,8 +41,8 @@ RATIO_CAP = 8
 
 def check_seed(seed: int, what: str = "seed") -> int:
     """seed, once it is known to lie in [0, 2**64 - 1], the seeds a key file records."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{what} {seed} outside [0, {2**64 - 1}]")
+    if not 0 <= seed <= UINT64_MAX:
+        raise ValueError(f"{what} {seed} outside [0, {UINT64_MAX}]")
     return seed
 
 

@@ -46,6 +46,8 @@ from .errors import (
 # m * a <= 10**7 * 2**31 is far below it, so nothing wraps.
 MAX_MULTIPLICITY = 10**7
 MAX_GENERATOR = 2**31
+# The largest value of a stream, a seed or a closed form: one uint64.
+UINT64_MAX = 2**64 - 1
 _UNREACHED = 2**62
 # Residues the round-robin pass and the table reductions work on at a time,
 # so that their scratch stays a few such blocks whatever the multiplicity.

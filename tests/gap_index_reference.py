@@ -16,7 +16,7 @@ import numpy as np
 from gapstego import codec
 
 
-def gaps_at(index: codec.GapIndex, v: int, u: np.ndarray) -> np.ndarray:
+def numbered_gaps(index: codec.GapIndex, v: int, u: np.ndarray) -> np.ndarray:
     """The gaps of class v numbered u row by row, by binary search in the counts."""
     starts = index.classes[v]
     i = np.searchsorted(starts, u, side="right") - 1
@@ -35,5 +35,5 @@ def encode_message(payload: bytes, index: codec.GapIndex, rng) -> np.ndarray:
         out = values[2 * i : 2 * i + len(nibbles)]
         for v, size in enumerate(index.class_sizes()):
             at = np.flatnonzero(nibbles == v)
-            out[at] = gaps_at(index, v, gen.integers(size, size=len(at)))
+            out[at] = numbered_gaps(index, v, gen.integers(size, size=len(at)))
     return values

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -54,6 +55,12 @@ def classes_by_gap_list(table):
     return [gaps[gaps % 16 == v].tolist() for v in range(16)]
 
 
+def numbered(idx, v, u):
+    """The gaps of class v numbered u row by row, through the lookup encode_message uses."""
+    u = np.array(u, dtype=np.int64)
+    return idx._gaps([u.size if w == v else 0 for w in range(16)], u)
+
+
 class TestGapIndex:
     def test_mod16_partition(self):
         # (3, 17), min_rep (0, 34, 17): row 1 holds 1, 4, 7, ..., 31 and row 2
@@ -62,8 +69,8 @@ class TestGapIndex:
         assert idx.class_sizes() == (1,) * 16
         row = [1 if v in (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15) else 2 for v in range(16)]
         assert [c.tolist() for c in idx.classes] == [[0] * (r + 1) + [1] * (3 - r) for r in row]
-        numbered = [int(idx.gaps_at(v, np.zeros(1, dtype=np.int64))[0]) for v in range(16)]
-        assert numbered == [16, 1, 2, 19, 4, 5, 22, 7, 8, 25, 10, 11, 28, 13, 14, 31]
+        first = [int(numbered(idx, v, [0])[0]) for v in range(16)]
+        assert first == [16, 1, 2, 19, 4, 5, 22, 7, 8, 25, 10, 11, 28, 13, 14, 31]
 
     @given(gens=small_keys, block=st.sampled_from([16, 32, 1 << 15]))
     @example(gens=validate_generators((5, 7)), block=16)
@@ -74,9 +81,9 @@ class TestGapIndex:
     @example(gens=validate_generators((32, 33)), block=16)  # gcd 16
     @settings(max_examples=200)
     def test_numbering_is_a_bijection_onto_each_class(self, gens, block):
-        # gaps_at numbers the class-v gaps row by row; sorted, the numbered
+        # the index numbers the class-v gaps row by row; sorted, the numbered
         # gaps must be exactly the class-v gaps of the gap list, whatever
-        # the number of rows class_counts takes at a time
+        # the number of rows build_gap_index takes at a time
         table = build_table(gens)
         expected = classes_by_gap_list(table)
         if not all(expected):
@@ -85,7 +92,7 @@ class TestGapIndex:
             idx = build_gap_index(table)
         assert len(idx.classes) == 16
         for v, size in enumerate(idx.class_sizes()):
-            assert sorted(idx.gaps_at(v, np.arange(size)).tolist()) == expected[v]
+            assert sorted(numbered(idx, v, np.arange(size)).tolist()) == expected[v]
 
     @given(gens=small_keys)
     @example(gens=validate_generators((37, 38)))
@@ -114,9 +121,10 @@ class TestGapIndex:
         assert exc.value.residue == 5
 
     def test_odd_multiplicity_scratch_is_a_few_blocks(self):
-        # at odd m every row holds gaps of all 16 classes; the counts take
-        # a block of rows at a time, so past the index itself (16 * (m + 1)
-        # int64) and the histogram there is no m-sized temporary
+        # at odd m every row holds gaps of all 16 classes; the counts and the
+        # directory take a block of rows at a time, so past the index itself
+        # (16 * (m + 1) int64 counts and the directory) and the histogram
+        # there is no m-sized temporary
         m = 10**6 - 1
         table = build_table(validate_generators((m, m + 1, m + 7, 2 * m + 3, 3 * m + 11)))
         tracemalloc.start()
@@ -131,7 +139,7 @@ class TestGapIndex:
         index_bytes = sum(c.nbytes for c in idx.classes)
         assert index_bytes == 16 * (m + 1) * 8
         assert hist_peak <= 4 * 2**20
-        assert index_peak <= index_bytes + 4 * 2**20
+        assert index_peak <= index_bytes + idx.shift.nbytes + idx.rows.nbytes + 4 * 2**20
         assert idx.class_sizes() == tuple(hist.tolist())
         assert int(hist.sum()) == table.genus
 
@@ -157,11 +165,11 @@ class TestRankDirectory:
     @settings(max_examples=200)
     def test_entry_is_last_row_starting_at_or_before_its_bucket(self, gens, block):
         try:
-            idx = build_gap_index(build_table(gens))
+            with mock.patch.object(codec, "_BLOCK_ROWS", block):
+                idx = build_gap_index(build_table(gens))
         except EmptyClassError:
             return
-        with mock.patch.object(codec, "_BLOCK_ROWS", block):
-            shift, rows = idx.directory
+        shift, rows = idx.shift, idx.rows
         n_rows = idx.classes.shape[1] - 1
         assert rows.nbytes <= idx.classes.nbytes // 2
         for v, starts in enumerate(idx.classes):
@@ -173,12 +181,17 @@ class TestRankDirectory:
             last = [max(i for i in range(n_rows) if starts[i] <= b * w) for b in range(buckets)]
             assert rows[v, :buckets].tolist() == last
 
-    def test_built_on_the_first_draw(self, table3738):
+    def test_built_whole_and_read_only(self, table3738):
         idx = build_gap_index(table3738)
-        encode_message(b"", idx, random.Random(0))
-        assert "directory" not in vars(idx)
-        encode_message(b"\x00", idx, random.Random(0))
-        assert "directory" in vars(idx)
+        assert [f.name for f in dataclasses.fields(idx)] == ["multiplicity", "classes", "shift", "rows"]
+        for array in (idx.classes, idx.shift, idx.rows):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            idx.rows[:] = idx.rows.max()
+        before = dict(vars(idx))
+        encode_message(bytes(range(256)), idx, random.Random(0))
+        assert vars(idx).keys() == before.keys()
+        assert all(vars(idx)[name] is value for name, value in before.items())
 
 
 class TestEncodeMessage:
@@ -188,15 +201,36 @@ class TestEncodeMessage:
     @settings(max_examples=200)
     def test_matches_reference(self, gens, payload, chunk, seed):
         # the one-pass chunk gives the values of the class-by-class binary search
-        try:
-            idx = build_gap_index(build_table(gens))
-        except EmptyClassError:
-            return
         with (mock.patch.object(codec, "CHUNK_VALUES", chunk),
               mock.patch.object(codec, "_BLOCK_ROWS", 16)):
+            try:
+                idx = build_gap_index(build_table(gens))
+            except EmptyClassError:
+                return
             expected = gap_index_reference.encode_message(payload, idx, random.Random(seed))
             got = encode_message(payload, idx, random.Random(seed)).values
         assert np.array_equal(got, expected)
+
+    @given(m=st.integers(17, 1500), payload=st.binary(max_size=200),
+           chunk=st.sampled_from([2, 6, 64]), seed=st.integers(0, 2**32))
+    @example(m=1009, payload=bytes(range(256)), chunk=64, seed=1)
+    @example(m=1497, payload=bytes(range(256)), chunk=64, seed=1)
+    @settings(max_examples=100)
+    def test_long_buckets_match_reference(self, m, payload, chunk, seed):
+        # a bucket of this shape spans up to 31 rows at m = 1009 and 39 at
+        # m = 1497, where small_keys reach 8; every rank of every class, not
+        # only the drawn ones, is numbered as the reference numbers it
+        gens = validate_generators((m, m + 1, m + 7, 2 * m + 3, 3 * m + 11))
+        with (mock.patch.object(codec, "CHUNK_VALUES", chunk),
+              mock.patch.object(codec, "_BLOCK_ROWS", 16)):
+            idx = build_gap_index(build_table(gens))
+            expected = gap_index_reference.encode_message(payload, idx, random.Random(seed))
+            got = encode_message(payload, idx, random.Random(seed)).values
+        assert np.array_equal(got, expected)
+        for v, size in enumerate(idx.class_sizes()):
+            ranks = np.arange(size)
+            assert np.array_equal(numbered(idx, v, ranks),
+                                  gap_index_reference.numbered_gaps(idx, v, ranks))
 
     def test_two_values_per_byte_high_first(self, index3738):
         stream = encode_message(b"\x4a", index3738, random.Random(0))
@@ -253,7 +287,7 @@ class TestEncodeMessage:
         values = np.empty(len(nibbles), dtype=np.uint64)
         for v, size in enumerate(index3738.class_sizes()):
             at = np.flatnonzero(nibbles == v)
-            values[at] = index3738.gaps_at(v, gen.integers(size, size=len(at)))
+            values[at] = numbered(index3738, v, gen.integers(size, size=len(at)))
         assert np.array_equal(encode_message(payload, index3738, random.Random(9)).values, values)
 
 
