@@ -10,11 +10,12 @@ generator, min_rep[r] is the least member of S congruent to r mod m, and
 
     x in S  <=>  x >= min_rep[x % m].
 
-The table comes from one round-robin pass that adds the generators in
-increasing order (Boecker & Liptak, Algorithmica 48, 2007).  With T the
-table of the prefix before generator a, a is redundant iff a >= T[a % m],
-and the sequence stays telescopic iff x >= T[x % m] for x = (d_prev // d) * a,
-with d_prev and d the gcds of the prefix without and with a.  Every member of
+The table comes from one pass that adds the generators in increasing
+order, after the round-robin of Boecker & Liptak (Algorithmica 48, 2007),
+each by min-plus doubling along its step.  With T the table of the prefix
+before generator a, a is redundant iff a >= T[a % m], and the sequence
+stays telescopic iff x >= T[x % m] for x = (d_prev // d) * a, with d_prev
+and d the gcds of the prefix without and with a.  Every member of
 the semigroup of that prefix and a is a multiple of d, so adding a works on
 min_rep[::d] alone: a table mod m / d in which a steps by a / d.
 
@@ -40,16 +41,15 @@ from .errors import (
     NonPositiveElementError,
 )
 
-# One int64 per residue class mod the multiplicity.  The round-robin pass on
-# min_rep[::d] subtracts k * a, k < m / d <= m, from entries that may hold the
-# unreached sentinel 2**62, and adds up to (m / d) * a to their minimum;
-# m * a <= 10**7 * 2**31 is far below it, so nothing wraps.
+# One int64 per residue class mod the multiplicity.  The doubling pass on
+# min_rep[::d] adds costs below 2 * (m / d) * a <= 2 * 10**7 * 2**31 < 2**56 to
+# entries that may hold the unreached sentinel 2**62, so nothing wraps.
 MAX_MULTIPLICITY = 10**7
 MAX_GENERATOR = 2**31
 # The largest value of a stream, a seed or a closed form: one uint64.
 UINT64_MAX = 2**64 - 1
 _UNREACHED = 2**62
-# Residues the round-robin pass and the table reductions work on at a time,
+# Residues the doubling pass and the table reductions work on at a time,
 # so that their scratch stays a few such blocks whatever the multiplicity.
 _BLOCK_RESIDUES = 1 << 15
 
@@ -147,67 +147,39 @@ def _add_generator(n: np.ndarray, step: int, a: int) -> None:
     """Lower the table n in place to the minima once generator a is added.
 
     n is min_rep[::d], with d the gcd of the prefix with a: a table mod
-    m = len(n) in which a leads from entry r to entry r + step, step = a / d,
-    at a cost of a.  step splits the entries into g = gcd(step, m) cycles:
-    the cycle of r holds the entries congruent to r mod g, a column of
-    n.reshape(m // g, g), and step k from row 0 lands on row
-    k * (step // g) mod (m // g) of every column.  With W[k] the running
-    minimum of n - k*a along a cycle from row 0, its new entry at step k is
-    k*a + min(W[k], W[last] + (m // g) * a), the second term being the way
-    round the end of the cycle.  The pass walks the cycles in step order,
-    _BLOCK_RESIDUES entries at a time, carrying each running minimum from
-    one block of steps to the next.  W[last] comes from the first block
-    when it holds whole cycles, else from a first pass in row order.
+    m = len(n) in which a leads from entry r to entry r + step, at a cost
+    of a.  The new entry r is the least n[r - j*step] + j*a over j >= 0,
+    indices mod m, found by min-plus doubling: doubling t lowers every
+    n[r] to n[r - shift] + cost where that is less, with shift = 2^t * step
+    mod m and cost = 2^t * a.  This is exact:
+    - after doubling t, n[r] is at most the least value over j < 2^(t+1);
+    - every value written is a sum of generators, so reading an entry
+      already lowered in the same doubling never undershoots;
+    - once cost passes the largest entry, no candidate can be lower;
+    - j * step mod m repeats after a cycle of m // gcd(step, m) steps, so
+      only j below the cycle length can win, and bit_length(cycle - 1)
+      doublings reach every such j;
+    - cost stays below 2 * m * a <= 2^56 on top of the sentinel 2^62, so
+      nothing wraps.
+    Row r reads entry r - shift: the first shift rows read the last shift
+    entries and the others the entries shift before them, two contiguous
+    runs walked _BLOCK_RESIDUES rows at a time.
     """
     m = len(n)
-    g = math.gcd(step, m)
-    steps, q = m // g, step // g
-    width = min(g, _BLOCK_RESIDUES)
-    depth = min(steps, _BLOCK_RESIDUES // width)
-    ka_base = np.arange(0, depth * a, a, dtype=np.int64)[:, None]
-    for c0 in range(0, g, width):
-        cycles = n.reshape(steps, g)[:, c0 : c0 + width]
-        if steps > depth:
-            last = np.full(cycles.shape[1], _UNREACHED)
-            # row r is reached at step r * q^-1 mod steps
-            for r0, k in zip(range(0, steps, depth), _multiples(pow(q, -1, steps), steps, depth)):
-                np.minimum(last, (cycles[r0 : r0 + depth] - (k * a)[:, None]).min(axis=0), out=last)
-        # a block holds n - (k - k0)*a at steps k0, k0 + 1, ...: its carry is W + k0*a
-        for k0, rows in zip(range(0, steps, depth), _multiples(q, steps, depth)):
-            ka = ka_base[: len(rows)]
-            v = cycles[rows]
-            v -= ka
-            if k0 == 0:  # a cycle that fits one block is read once, here
-                carry = (last if steps > depth else np.minimum.reduce(v)) + steps * a
-            _running_min(v, carry)
-            carry = v[-1] + depth * a
-            v += ka
-            cycles[rows] = v
-
-
-def _multiples(step: int, modulus: int, depth: int) -> Iterator[np.ndarray]:
-    """k * step % modulus for k = 0, 1, ..., modulus - 1, depth values at a time."""
-    k = np.arange(0, depth * step, step, dtype=np.int64) % modulus
-    shift = depth * step % modulus
-    for k0 in range(0, modulus, depth):
-        if k0:
-            k += shift
-            np.subtract(k, modulus, out=k, where=k >= modulus)
-        yield k[: modulus - k0]
-
-
-def _running_min(v: np.ndarray, first: np.ndarray) -> None:
-    """Running minimum of first, v[0], v[1], ... down the rows of v, in place."""
-    np.minimum(v[0], first, out=v[0])
-    if len(v) < v.shape[1]:  # few long rows: accumulate costs a call per column
-        for i in range(1, len(v)):
-            np.minimum(v[i], v[i - 1], out=v[i])
-    else:
-        np.minimum.accumulate(v, axis=0, out=v)
+    top = int(n.max())
+    shift, cost = step % m, a
+    for _ in range((m // math.gcd(step, m) - 1).bit_length()):
+        if cost > top:
+            break
+        for rows, back in ((n[:shift], n[m - shift :]), (n[shift:], n[: m - shift])):
+            for i in range(0, len(rows), _BLOCK_RESIDUES):
+                block = rows[i : i + _BLOCK_RESIDUES]
+                np.minimum(block, back[i : i + _BLOCK_RESIDUES] + cost, out=block)
+        shift, cost = 2 * shift % m, 2 * cost
 
 
 def build_table(gens: GeneratingSet) -> SemigroupTable:
-    """Per-residue minima from one round-robin pass over the generators.
+    """Per-residue minima from one pass that adds the generators in turn.
 
     Before adding generator a, the prefix table T decides that a is
     redundant (a >= T[a % m]), and skipped, and whether the sequence stays

@@ -3,7 +3,7 @@
 The graph has the residues mod m as vertices and an edge r -> (r + a) % m
 of weight a for each generator a; the distance from 0 to r is the least
 member of the semigroup congruent to r mod m.  It shares no code with the
-round-robin pass behind build_table, so each referees the other.
+doubling pass behind build_table, so each referees the other.
 """
 
 from __future__ import annotations

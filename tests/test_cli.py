@@ -573,9 +573,6 @@ class TestCommandMemory:
     def peaks(self, tmp_path_factory):
         work = tmp_path_factory.mktemp("memory")
         key = write_key(work, README_GENS, seed=1, salt_pair=(3, 4))
-        # the key's round-robin pass is cached from here on, so that no
-        # command's peak holds it
-        build_table(validate_generators(README_GENS))
         peaks = {}
         for size in self.SIZES:
             src, stream = work / "p.bin", work / "s.txt"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import gap_index_reference
 from conftest import sieve_gaps
+from keyless_attack import certified_gaps, estimated_apery, estimated_multiplicity
 
 from gapstego import (
     CipherStream,
@@ -31,6 +32,7 @@ from gapstego import (
     encode_message,
     generator_from,
     measure_salt_gap_preservation,
+    minimal_generators,
     residue_histogram,
     salt_stream,
     validate_generators,
@@ -352,6 +354,59 @@ class TestVerify:
         with mock.patch.object(codec, "CHUNK_VALUES", 3):
             got = verify_stream(CipherStream(values), table57).tolist()
         assert got == [not table57.is_member(v) for v in values]
+
+
+class TestKeylessRecovery:
+    """keyless_attack.py on bare streams of the README key, which it never reads.
+
+    Frozen battery: payload random.Random(1000 + s).randbytes(2**(k - 1)),
+    encoder random.Random(2000 + s), s = 0..3, so 2**k values a stream.
+    m̂ is exact on every stream.  A row is short while its top gap is
+    unseen: 18, 17, 14 and 22 rows at 2**19 values, 3, 0, 1 and 0 at 2**20,
+    none at 2**21 (1 MiB of payload).  An exact estimate gives back the
+    key's minimal generators, so the hardness assumption of the abstract
+    does not hold at the default sizes.
+    """
+
+    GENS = (568, 3692, 4084, 4314, 4483)
+    SEEDS = range(4)
+
+    @pytest.fixture(scope="class")
+    def key(self):
+        table = build_table(validate_generators(self.GENS))
+        return table, build_gap_index(table)
+
+    def values(self, index, k, s):
+        payload = random.Random(1000 + s).randbytes(2 ** (k - 1))
+        return encode_message(payload, index, random.Random(2000 + s)).values
+
+    @pytest.mark.parametrize(
+        "k, short", [(19, [18, 17, 14, 22]), (20, [3, 0, 1, 0]), (21, [0, 0, 0, 0])]
+    )
+    def test_short_rows_and_recovered_key(self, key, k, short):
+        table, index = key
+        found = []
+        for s in self.SEEDS:
+            values = self.values(index, k, s)
+            m = estimated_multiplicity(values)
+            assert m == table.multiplicity
+            apery = estimated_apery(values, m)
+            assert (apery <= table.min_rep).all()
+            found.append(int((apery < table.min_rep).sum()))
+            if found[-1] == 0:
+                recovered = build_table(validate_generators([m, *apery[1:].tolist()]))
+                assert minimal_generators(recovered).elements == self.GENS
+        assert found == short
+
+    @pytest.mark.parametrize("s", SEEDS)
+    def test_row_descent_certifies_gaps_below_every_observed_one(self, key, s):
+        # g - k*m̂ is a gap for every observed g, so a key that sent only gaps >= m
+        # would still give away every gap below m
+        table, index = key
+        values = self.values(index, 19, s)
+        gaps = certified_gaps(estimated_apery(values, estimated_multiplicity(values)))
+        assert verify_stream(CipherStream(gaps.astype(np.uint64)), table).all()
+        assert int((gaps < table.multiplicity).sum()) == table.multiplicity - 1
 
 
 class TestSalting:

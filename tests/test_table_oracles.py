@@ -1,4 +1,4 @@
-"""The round-robin pass against oracles that share none of its code.
+"""The doubling pass of build_table against oracles that share none of its code.
 
 build_table must equal the Dijkstra reference and the brute-force sieve;
 minimal_generators and is_telescopic must equal their definitions, each
