@@ -6,9 +6,10 @@ Exit codes are a stable contract: 0 success, 1 self-test failure,
 encode, decode and analyze stream: encode reads CHUNK_VALUES // 2
 payload bytes at a time and writes each chunk's text as it goes, and
 decode and analyze take the stream a parsed chunk of whole lines at a
-time from formats.read_stream, blank lines included.  decode keeps only
-the decoded bytes and writes them once every check has passed, so a
-failing command writes nothing.
+time from formats.read_stream, blank lines included.  decode spools the
+decoded bytes to an anonymous temporary file, in the temporary directory
+(TMPDIR), and copies them out once every check has passed, so a failing
+command writes nothing and its memory does not grow with the stream.
 
 Keys, payloads and streams pass through the binary _open_in and
 _open_out: keys and streams are written as the exact bytes of their
@@ -22,7 +23,9 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import shutil
 import sys
+import tempfile
 from contextlib import nullcontext
 from typing import BinaryIO, ContextManager, Iterator, Sequence
 
@@ -172,10 +175,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     key = _load_key(args.key)
-    decoded, n = bytearray(), 0
+    n = 0
     carry = np.zeros(0, dtype=np.uint64)  # a value whose pair lies in the next chunk
     bad, positions = 0, []  # values that are not gaps: their count, the first 20 positions
-    with _open_in(args.input) as src:
+    # the decoded bytes are spooled to an anonymous file, removed when it is closed
+    with _open_in(args.input) as src, tempfile.TemporaryFile() as spool:
         table = build_table(key.generators) if args.verify else None
         for chunk in read_stream(src):
             chunk = desalt_stream(chunk)
@@ -185,20 +189,21 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 positions += (at[: 20 - len(positions)] + n).tolist()
             values = np.concatenate((carry, chunk.values))
             pairs = len(values) - len(values) % 2
-            decoded += decode_message(CipherStream(values[:pairs]))
+            spool.write(decode_message(CipherStream(values[:pairs])))
             carry = values[pairs:]
             n += len(chunk)
-    if bad:
-        shown = ",".join(map(str, positions)) + (",..." if bad > 20 else "")
-        print(
-            f"verification failed: {bad} stream value(s) are not gaps (positions {shown})",
-            file=sys.stderr,
-        )
-        return 3
-    if len(carry):
-        raise OddLengthError(n)
-    with _open_out(args.out) as out:
-        out.write(decoded)
+        if bad:
+            shown = ",".join(map(str, positions)) + (",..." if bad > 20 else "")
+            print(
+                f"verification failed: {bad} stream value(s) are not gaps (positions {shown})",
+                file=sys.stderr,
+            )
+            return 3
+        if len(carry):
+            raise OddLengthError(n)
+        spool.seek(0)
+        with _open_out(args.out) as out:
+            shutil.copyfileobj(spool, out)
     return 0
 
 

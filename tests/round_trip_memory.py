@@ -15,8 +15,10 @@ must not change a byte.  Then it runs
 `decode --verify` and `analyze` on 64 MiB of blank lines followed by a
 salted stream of 100 values, and checks the decoded bytes again.  It
 exits 1 unless each command's peak on 16 MiB is within 2x of its peak
-on 256 KiB, and each peak on the blank lines is within 2x of the
-256 KiB `decode --verify`.
+on 256 KiB, each decode's peak on 16 MiB (`decode --verify`, `decode`
+and `decode --verify` from stdin) is within 1.1x of its peak on 256 KiB,
+as decode spools its bytes to a temporary file, and each peak on the
+blank lines is within 2x of the 256 KiB `decode --verify`.
 
 A child's ru_maxrss counts the memory of the process that started it,
 so this script holds no payload or stream: it writes and compares them
@@ -39,6 +41,8 @@ KEY = "frobkey/1\nmode telescopic\nseed 1\nsalt-pair 3 4\n568\n3692\n4084\n4314\
 CLI = ["-m", "gapstego.cli"]
 SIZES = (1 << 18, 1 << 24)
 GROWTH = 2.0
+# decode holds a few chunks of the stream whatever its length
+DECODE_GROWTH = 1.1
 # (encode, decode) commands of each round trip: plain and verified, salted and plain
 ROUND_TRIPS = ((["encode"], ["decode", "--verify"]), (["encode", "--salt"], ["decode"]))
 # the round trip through stdin and stdout, with UTF-16 asked of the text layer
@@ -129,10 +133,11 @@ def main() -> int:
         print(f"{BLANK} bytes of blank lines before a salted stream: decoded exact")
     ok = True
     for command, (small, large) in peaks.items():
-        within = large <= GROWTH * small
+        growth = DECODE_GROWTH if command.startswith("decode") else GROWTH
+        within = large <= growth * small
         ok &= within
         print(f"{command:22} peak RSS {small:7.1f} MB at {SIZES[0]} B, {large:7.1f} MB at"
-              f" {SIZES[1]} B: x{large / small:.2f} {'ok' if within else f'over x{GROWTH}'}")
+              f" {SIZES[1]} B: x{large / small:.2f} {'ok' if within else f'over x{growth}'}")
     small = peaks["decode --verify"][0]
     for command, peak in blank.items():
         within = peak <= GROWTH * small

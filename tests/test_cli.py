@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import math
@@ -9,7 +10,9 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -562,10 +565,90 @@ class TestStreamChunks:
         assert captured.err == f"error: stream length {n} is odd, expected value pairs\n"
 
 
+class TestDecodeSpool:
+    """decode spools its bytes to an anonymous temporary file and copies them
+    to --out once every check has passed: a failing decode leaves neither an
+    --out file nor a temporary file, and closes what it opened."""
+
+    @pytest.fixture
+    def spool_dir(self, tmp_path, monkeypatch):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        return spool
+
+    @pytest.fixture
+    def stream(self, tmp_path, readme_key):
+        """A stream of two reader chunks, and the payload it holds."""
+        src, stream = tmp_path / "p.bin", tmp_path / "s.txt"
+        src.write_bytes(random.Random(4).randbytes(10_000))
+        args = ["encode", "--key", str(readme_key), "--in", str(src), "--out", str(stream), "--seed", "4"]
+        assert main(args) == 0
+        assert formats.CHUNK_BYTES < stream.stat().st_size < 2 * formats.CHUNK_BYTES
+        return stream, src.read_bytes()
+
+    def decode(self, readme_key, stream, out):
+        args = ["decode", "--verify", "--key", str(readme_key), "--in", str(stream), "--out", out]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(args)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        return rc
+
+    @pytest.mark.parametrize("out", ["file", "-"])
+    @pytest.mark.parametrize("edit,rc,err", [
+        # the first value replaced by 568, a member of the key
+        (lambda data: b"568" + data[data.index(b"\n"):], 3, "verification failed: 1 stream"),
+        (lambda data: data + b"1\n", 2, "error: stream length 20001 is odd"),
+        # the bad line is the last, in the second chunk
+        (lambda data: data + b"1 2\n", 2, "error: stream value: "),
+    ], ids=["tampered", "odd", "bad-line-in-second-chunk"])
+    def test_failing_decode_leaves_nothing(self, tmp_path, readme_key, spool_dir, stream, capsys,
+                                           out, edit, rc, err):
+        path, _ = stream
+        path.write_bytes(edit(path.read_bytes()))
+        dest = tmp_path / "o.bin"
+        assert self.decode(readme_key, path, str(dest) if out == "file" else "-") == rc
+        assert not dest.exists()
+        assert list(spool_dir.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+
+    def test_passing_decode_leaves_its_output_only(self, tmp_path, readme_key, spool_dir, stream):
+        path, payload = stream
+        dest = tmp_path / "o.bin"
+        assert self.decode(readme_key, path, str(dest)) == 0
+        assert dest.read_bytes() == payload
+        assert list(spool_dir.iterdir()) == []
+
+    def test_out_through_a_symlink(self, tmp_path, readme_key, stream):
+        path, payload = stream
+        target, link = tmp_path / "target.bin", tmp_path / "link.bin"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert self.decode(readme_key, path, str(link)) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == payload
+
+    def test_missing_temporary_directory(self, tmp_path, readme_key, stream, monkeypatch, capsys):
+        path, _ = stream
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        dest = tmp_path / "o.bin"
+        assert self.decode(readme_key, path, str(dest)) == 2
+        assert not dest.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestCommandMemory:
     """Peak traced memory of encode, decode --verify and analyze --key, in
-    process, on a 256 KiB and a 1 MiB payload: only decode grows with the
-    stream, by the bytes it decodes, half a byte a value."""
+    process, on a 256 KiB and a 1 MiB payload: none grows with the stream,
+    as decode spools the bytes it decodes to a temporary file."""
 
     SIZES = (1 << 18, 1 << 20)
 
@@ -592,7 +675,7 @@ class TestCommandMemory:
             assert (work / "o.bin").read_bytes() == src.read_bytes()
         return peaks
 
-    @pytest.mark.parametrize("command", ["encode", "analyze"])
+    @pytest.mark.parametrize("command", ["encode", "decode", "analyze"])
     def test_flat(self, peaks, command):
         small, large = (peaks[command, size] for size in self.SIZES)
         assert abs(large - small) < 1 << 20
@@ -600,17 +683,16 @@ class TestCommandMemory:
     def test_decode_holds_the_bytes_only(self, peaks):
         small, large = (peaks["decode", size] for size in self.SIZES)
         values = 2 * (self.SIZES[1] - self.SIZES[0])
-        # half a byte a value, and the slack a growing bytearray keeps
+        # the bound of a decode that held its bytes: half a byte a value, with slack
         assert large - small <= 0.6 * values
 
     def test_blank_lines_before_the_header(self, tmp_path, readme_key):
-        """8 MiB of blank lines, then a salted stream: read 256 KiB at a time."""
+        """8 MiB of blank lines, then a salted stream: read CHUNK_BYTES at a time."""
         src, stream, out = tmp_path / "p.bin", tmp_path / "s.txt", tmp_path / "o.bin"
         src.write_bytes(random.Random(0).randbytes(50))
         key = ["--key", str(readme_key)]
         assert main(["encode", *key, "--in", str(src), "--out", str(stream), "--salt"]) == 0
         stream.write_bytes(b"\n" * (8 << 20) + stream.read_bytes())
-        build_table(validate_generators(README_GENS))
         for args in (["decode", "--verify", "--out", str(out)], ["analyze"]):
             tracemalloc.start()
             try:

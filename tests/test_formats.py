@@ -405,6 +405,23 @@ class TestStreamChunks:
             assert b"".join(pieces) == text
             assert parse_stream(text) == CipherStream((7, 8, 9))
 
+    def test_long_line_read_in_doubling_pieces(self):
+        """The rest of a line longer than a chunk is read in pieces that double,
+        so a long line is held in a few buffers, not one per chunk."""
+        text = b"0" * (1 << 20) + b"7\n8\n"
+        reads = []
+
+        class Reader(io.BytesIO):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+
+        with chunks(4):
+            pieces = list(formats._line_chunks(Reader(text)))
+        assert b"".join(pieces) == text
+        assert len(reads) <= 22
+        assert len(pieces[0]) <= 2 * (1 << 20)
+
     @pytest.mark.parametrize("data", [b"1\n2\n3\xff4\n5\n", b"1\n2\n\t3\xff4 \r\n\xff\n"])
     @pytest.mark.parametrize("chunk", [2, formats.CHUNK_BYTES])
     def test_non_utf8_line_named(self, data, chunk):
@@ -485,8 +502,9 @@ class TestStreamMemory:
     its input, plus a few chunks of scratch.
     """
 
-    # a few chunks: 3 MiB is twelve of 256 KiB, while whole-buffer scratch
-    # for this stream runs to 15-20 MB
+    # a few chunks: 3 MiB is twelve arrays of CHUNK_VALUES uint64 (256 KiB),
+    # or 48 chunks of text, while whole-buffer scratch for this stream runs
+    # to 15-20 MB
     SCRATCH = 3 << 20
 
     @pytest.fixture(scope="class")
